@@ -33,7 +33,7 @@ fn main() {
     );
 
     // Group sessions per operator and recompute the Fig. 1-style summary
-    // plus §5-style dynamics — purely from the stored JSON.
+    // plus §5-style dynamics — purely from the stored session files.
     let mut per_op: BTreeMap<String, Vec<f64>> = BTreeMap::new();
     let mut dynamics: BTreeMap<String, (f64, Option<usize>)> = BTreeMap::new();
     for name in &manifest.sessions {

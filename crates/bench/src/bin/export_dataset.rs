@@ -1,7 +1,13 @@
-//! Export an artifact-style dataset (paper §10.6): one JSON per session
-//! with its full slot-level KPI trace, plus a manifest — everything a
-//! downstream analysis needs to recompute the figures without the
-//! simulator.
+//! Export an artifact-style dataset (paper §10.6): one binary v3 session
+//! file (`sessions/*.kpi`, layout in `measure::dataset`) per session with
+//! its spec and full slot-level KPI trace, plus a `manifest.json` —
+//! everything a downstream analysis needs to recompute the figures
+//! without the simulator. `--quick` exports one 1 s session per operator.
+//!
+//! ```sh
+//! cargo run --release -p midband5g-bench --bin export_dataset -- --quick --json /tmp/dataset
+//! cargo run --release -p midband5g-bench --bin analyze_dataset -- --json /tmp/dataset
+//! ```
 
 use midband5g::measure::campaign::Campaign;
 use midband5g::measure::dataset::Dataset;
@@ -9,7 +15,8 @@ use midband5g::operators::Operator;
 use midband5g_bench::RunArgs;
 
 fn main() {
-    let args = RunArgs::parse(3, 6.0);
+    let quick = std::env::args().any(|a| a == "--quick");
+    let args = if quick { RunArgs::parse(1, 1.0) } else { RunArgs::parse(3, 6.0) };
     let root = args.json.clone().unwrap_or_else(|| "results/dataset".to_string());
     println!("Exporting a campaign dataset to {root}/ …");
     let ds = Dataset::at(&root);

@@ -2,16 +2,35 @@
 //! artifact release ("we make our dataset, artifacts, source code,
 //! processing scripts, plots and results publicly available").
 //!
-//! A [`Dataset`] is a directory of JSON files: one `manifest.json`
-//! describing the campaign, plus one `sessions/<name>.json` per session
-//! holding the spec and the full slot-level KPI trace. Every figure can
-//! be recomputed from an exported dataset without re-running the
-//! simulator — exactly how the paper's artifact consumers work with its
-//! released captures.
+//! A [`Dataset`] is a directory holding one `manifest.json` describing
+//! the campaign plus one binary `sessions/<name>.kpi` file per session
+//! (format v3, below) holding the spec and the full slot-level KPI trace.
+//! Every figure can be recomputed from an exported dataset without
+//! re-running the simulator — exactly how the paper's artifact consumers
+//! work with its released captures. Text consumers use [`write_csv`].
+//!
+//! # Session file format (v3)
+//!
+//! All integers are little-endian; every section starts on an 8-byte
+//! boundary.
+//!
+//! | Bytes | Field |
+//! |---|---|
+//! | 8 | magic [`SESSION_MAGIC`] (`\x89MB5GKPI`) |
+//! | 4 | format version `u32` = [`DATASET_VERSION`] |
+//! | 4 | `spec_len` `u32` |
+//! | `spec_len`, zero-padded to 8 | the [`SessionSpec`] as canonical JSON (the form [`SessionSpec::stable_hash`] hashes) |
+//! | 8 | `len`, the record count, `u64` |
+//! | [`KpiTrace::columns_byte_len`]`(len)` | the column dump of [`KpiTrace::write_columns`]: 17 value columns, then 4 packed flag columns, each zero-padded to 8 |
+//! | 8 | [`checksum`] of every byte before it, `u64` |
+//!
+//! The loader sniffs the first byte: `0x89` starts a v3 file, `{` a v1/v2
+//! JSON session, which still load. A malformed file yields a typed
+//! [`DecodeError`].
 
 use crate::session::{SessionResult, SessionSpec};
-use ran::kpi::{KpiTrace, CHUNK_RECORDS};
-use serde::{Deserialize, Serialize, Value};
+use ran::kpi::{ColumnError, KpiTrace, CHUNK_RECORDS};
+use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -150,11 +169,226 @@ pub fn sync_dir(dir: &Path) -> io::Result<()> {
     std::fs::File::open(dir)?.sync_all()
 }
 
-/// Current manifest format version. Version 2 stores session traces in
-/// the columnar wire form (one concatenated array per KPI column, flag
-/// columns bit-packed into `u64` words); version 1 stored an array of row
-/// objects. [`Dataset::load_session`] reads both.
-pub const DATASET_VERSION: u32 = 2;
+/// Current dataset format version, written into the manifest and every
+/// session file. Version 3 stores each session as the binary columnar
+/// file described in the module docs. Version 2 stored JSON with one
+/// concatenated array per KPI column; version 1 stored JSON row objects.
+/// [`Dataset::load_session`] reads all three.
+pub const DATASET_VERSION: u32 = 3;
+
+/// First eight bytes of a v3 session file. The leading `0x89` is not
+/// ASCII, so it can never open a JSON (v1/v2) session file.
+pub const SESSION_MAGIC: [u8; 8] = *b"\x89MB5GKPI";
+
+/// Bytes before the spec blob: magic, version, `spec_len`.
+const HEADER_BYTES: usize = 16;
+
+/// Why a session file could not be decoded. Every malformed input —
+/// truncated, bit-flipped or forged — maps to one of these; the decoder
+/// never panics and never allocates more than the input justifies.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DecodeError {
+    /// Neither the v3 magic nor the start of a JSON session.
+    BadMagic,
+    /// A v3 magic followed by a version this build does not read.
+    UnsupportedVersion {
+        /// The version the file declares.
+        found: u32,
+    },
+    /// The file ends inside its fixed header or spec blob.
+    Truncated {
+        /// Bytes the header needs.
+        needed: u64,
+        /// Bytes present.
+        found: u64,
+    },
+    /// The file size disagrees with the record count it declares.
+    LengthMismatch {
+        /// The declared record count.
+        len: u64,
+        /// File bytes `len` records need (`None` when that overflows).
+        expected: Option<u64>,
+        /// File bytes present.
+        found: u64,
+    },
+    /// The trailing checksum does not match the bytes before it.
+    ChecksumMismatch {
+        /// The checksum stored in the file.
+        stored: u64,
+        /// The checksum of the bytes read.
+        computed: u64,
+    },
+    /// The spec blob does not parse as a [`SessionSpec`].
+    BadSpec {
+        /// The parse error.
+        detail: String,
+    },
+    /// A modulation byte outside the wire code table.
+    UnknownModulation {
+        /// Record index.
+        index: u64,
+        /// The offending byte.
+        code: u8,
+    },
+    /// A v1/v2 JSON session file that does not parse.
+    Json {
+        /// The parse error.
+        detail: String,
+    },
+}
+
+impl std::fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DecodeError::BadMagic => write!(f, "not a session file (bad magic)"),
+            DecodeError::UnsupportedVersion { found } => {
+                write!(f, "session file version {found} is not {DATASET_VERSION}")
+            }
+            DecodeError::Truncated { needed, found } => {
+                write!(f, "truncated: header needs {needed} bytes, file has {found}")
+            }
+            DecodeError::LengthMismatch { len, expected: Some(want), found } => {
+                write!(f, "length mismatch: {len} records need {want} bytes, file has {found}")
+            }
+            DecodeError::LengthMismatch { len, expected: None, found } => {
+                write!(f, "length mismatch: {len} records overflow the file size ({found} bytes)")
+            }
+            DecodeError::ChecksumMismatch { stored, computed } => {
+                write!(f, "checksum mismatch: stored {stored:#018x}, computed {computed:#018x}")
+            }
+            DecodeError::BadSpec { detail } => write!(f, "spec does not parse: {detail}"),
+            DecodeError::UnknownModulation { index, code } => {
+                write!(f, "record {index}: unknown modulation code {code}")
+            }
+            DecodeError::Json { detail } => write!(f, "JSON session does not parse: {detail}"),
+        }
+    }
+}
+
+impl std::error::Error for DecodeError {}
+
+/// The v3 file checksum: a word-at-a-time multiply–rotate hash over
+/// little-endian `u64` words (a trailing partial word is zero-padded),
+/// seeded with the byte count and finished with a full-avalanche mix.
+/// Each step is a bijection of both the running state and the input
+/// word, so any change confined to one word is always detected.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut h = 0x6d62_3567_6b70_6933 ^ bytes.len() as u64;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let w = u64::from_le_bytes(w.try_into().expect("8-byte chunk"));
+        h = (h ^ w).wrapping_mul(K).rotate_left(29);
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        h = (h ^ u64::from_le_bytes(last)).wrapping_mul(K).rotate_left(29);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
+/// Encode one session as a v3 session file (layout in the module docs).
+/// The bytes are a pure function of `(spec, trace)`: equal sessions
+/// always encode identically, which the determinism and distributed
+/// byte-identity harnesses rely on.
+pub fn encode_session(spec: &SessionSpec, trace: &KpiTrace) -> Vec<u8> {
+    let spec_json = serde_json::to_string(spec).expect("spec serialisation is infallible");
+    let spec_len = u32::try_from(spec_json.len()).expect("a spec is a few hundred bytes");
+    let columns = KpiTrace::columns_byte_len(trace.len()).expect("an in-memory trace's dump fits");
+    let mut out =
+        Vec::with_capacity(HEADER_BYTES + spec_json.len().next_multiple_of(8) + 8 + columns + 8);
+    out.extend_from_slice(&SESSION_MAGIC);
+    out.extend_from_slice(&DATASET_VERSION.to_le_bytes());
+    out.extend_from_slice(&spec_len.to_le_bytes());
+    out.extend_from_slice(spec_json.as_bytes());
+    out.resize(out.len().next_multiple_of(8), 0);
+    out.extend_from_slice(&(trace.len() as u64).to_le_bytes());
+    trace.write_columns(&mut out);
+    let sum = checksum(&out);
+    out.extend_from_slice(&sum.to_le_bytes());
+    out
+}
+
+/// Decode a session file of any supported version: v3 binary, or v1/v2
+/// JSON (sniffed by the first byte).
+pub fn decode_session(bytes: &[u8]) -> Result<SessionRecord, DecodeError> {
+    match bytes.iter().find(|b| !b.is_ascii_whitespace()) {
+        Some(&b) if b == SESSION_MAGIC[0] => decode_v3(bytes),
+        Some(b'{') => {
+            let text = std::str::from_utf8(bytes)
+                .map_err(|e| DecodeError::Json { detail: e.to_string() })?;
+            serde_json::from_str(text).map_err(|e| DecodeError::Json { detail: e.to_string() })
+        }
+        Some(_) => Err(DecodeError::BadMagic),
+        None => {
+            Err(DecodeError::Truncated { needed: HEADER_BYTES as u64, found: bytes.len() as u64 })
+        }
+    }
+}
+
+fn le_u32(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"))
+}
+
+fn le_u64(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
+}
+
+fn decode_v3(bytes: &[u8]) -> Result<SessionRecord, DecodeError> {
+    let found = bytes.len() as u64;
+    let magic = bytes.len().min(SESSION_MAGIC.len());
+    if bytes[..magic] != SESSION_MAGIC[..magic] {
+        return Err(DecodeError::BadMagic);
+    }
+    if bytes.len() < HEADER_BYTES {
+        return Err(DecodeError::Truncated { needed: HEADER_BYTES as u64, found });
+    }
+    let version = le_u32(bytes, 8);
+    if version != DATASET_VERSION {
+        return Err(DecodeError::UnsupportedVersion { found: version });
+    }
+    // Spec blob, `len`, and the trailing checksum must all be present.
+    let spec_len = u64::from(le_u32(bytes, 12));
+    let needed = HEADER_BYTES as u64 + spec_len.next_multiple_of(8) + 16;
+    if found < needed {
+        return Err(DecodeError::Truncated { needed, found });
+    }
+    let (spec_len, len_at) = (spec_len as usize, needed as usize - 16);
+    let len = le_u64(bytes, len_at);
+    let columns_at = len_at + 8;
+    let expected = usize::try_from(len)
+        .ok()
+        .and_then(KpiTrace::columns_byte_len)
+        .and_then(|columns| columns.checked_add(columns_at + 8));
+    let mismatch = DecodeError::LengthMismatch { len, expected: expected.map(|e| e as u64), found };
+    if expected != Some(bytes.len()) {
+        return Err(mismatch);
+    }
+    let body_end = bytes.len() - 8;
+    let stored = le_u64(bytes, body_end);
+    let computed = checksum(&bytes[..body_end]);
+    if stored != computed {
+        return Err(DecodeError::ChecksumMismatch { stored, computed });
+    }
+    let spec = std::str::from_utf8(&bytes[HEADER_BYTES..HEADER_BYTES + spec_len])
+        .map_err(|e| e.to_string())
+        .and_then(|text| serde_json::from_str::<SessionSpec>(text).map_err(|e| e.to_string()))
+        .map_err(|detail| DecodeError::BadSpec { detail })?;
+    let columns = &bytes[columns_at..body_end];
+    let trace = KpiTrace::read_columns(len as usize, columns).map_err(|e| match e {
+        ColumnError::UnknownModulation { index, code } => {
+            DecodeError::UnknownModulation { index: index as u64, code }
+        }
+        ColumnError::LengthMismatch { .. } => mismatch,
+    })?;
+    Ok(SessionRecord { spec, trace })
+}
 
 impl Dataset {
     /// Open (or designate) a dataset directory.
@@ -186,22 +420,11 @@ impl Dataset {
     /// workers locate a session file before (re-)running it.
     pub fn session_file_name_for(index: usize, spec: &crate::session::SessionSpec) -> String {
         format!(
-            "{:03}_{}_seed{}.json",
+            "{:03}_{}_seed{}.kpi",
             index,
             spec.operator.acronym().replace(['[', ']'], ""),
             spec.seed
         )
-    }
-
-    /// Canonical JSON encoding of one session record. Serialises straight
-    /// from the borrowed result — the columnar trace is encoded column by
-    /// column, never cloned.
-    fn encode_session(result: &SessionResult) -> io::Result<String> {
-        let record = Value::Object(vec![
-            ("spec".to_string(), result.spec.to_value()),
-            ("trace".to_string(), result.trace.to_value()),
-        ]);
-        serde_json::to_string(&record).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
 
     /// A sibling of `root` carrying the given suffix — staging and
@@ -213,7 +436,7 @@ impl Dataset {
     }
 
     /// Export a batch of session results, writing the manifest and one
-    /// JSON file per session. Returns the manifest.
+    /// v3 session file per session. Returns the manifest.
     ///
     /// The export is **atomic at the directory level**: everything is
     /// staged into a `<root>.partial-<pid>` sibling first and swapped
@@ -232,6 +455,7 @@ impl Dataset {
         let staging = self.sibling(&format!(".partial-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&staging);
         let staged = Dataset::at(&staging);
+        let mut written = 0u64;
         let manifest = (|| -> io::Result<DatasetManifest> {
             std::fs::create_dir_all(staged.sessions_dir())?;
             let mut manifest = DatasetManifest {
@@ -242,7 +466,9 @@ impl Dataset {
             };
             for (i, r) in results.iter().enumerate() {
                 let name = Dataset::session_file_name(i, r);
-                std::fs::write(staged.sessions_dir().join(&name), Dataset::encode_session(r)?)?;
+                let bytes = encode_session(&r.spec, &r.trace);
+                std::fs::write(staged.sessions_dir().join(&name), &bytes)?;
+                written += bytes.len() as u64;
                 manifest.total_records += r.trace.len() as u64;
                 manifest.sessions.push(name);
             }
@@ -281,6 +507,7 @@ impl Dataset {
         let reg = obs::registry();
         reg.counter("dataset.exports").inc();
         reg.counter("dataset.exported_records").add(manifest.total_records);
+        reg.counter("dataset.bytes_written").add(written);
         Ok(manifest)
     }
 
@@ -294,11 +521,11 @@ impl Dataset {
     pub fn write_session(&self, index: usize, result: &SessionResult) -> io::Result<String> {
         std::fs::create_dir_all(self.sessions_dir())?;
         let name = Dataset::session_file_name(index, result);
-        commit_file(
-            &self.sessions_dir().join(&name),
-            Dataset::encode_session(result)?.as_bytes(),
-        )?;
-        obs::registry().counter("dataset.checkpointed_sessions").inc();
+        let bytes = encode_session(&result.spec, &result.trace);
+        commit_file(&self.sessions_dir().join(&name), &bytes)?;
+        let reg = obs::registry();
+        reg.counter("dataset.checkpointed_sessions").inc();
+        reg.counter("dataset.bytes_written").add(bytes.len() as u64);
         Ok(name)
     }
 
@@ -308,14 +535,25 @@ impl Dataset {
         serde_json::from_str(&json).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
 
-    /// Load one session by its manifest name.
+    /// Read one session file's bytes, counting them under
+    /// `dataset.bytes_read`.
+    fn read_session_bytes(&self, name: &str) -> io::Result<Vec<u8>> {
+        let bytes = std::fs::read(self.sessions_dir().join(name))?;
+        obs::registry().counter("dataset.bytes_read").add(bytes.len() as u64);
+        Ok(bytes)
+    }
+
+    /// Load one session by its manifest name, whatever its format version.
+    /// A malformed file is an [`io::ErrorKind::InvalidData`] error whose
+    /// inner error is the typed [`DecodeError`].
     pub fn load_session(&self, name: &str) -> io::Result<SessionRecord> {
-        let json = std::fs::read_to_string(self.sessions_dir().join(name))?;
-        serde_json::from_str(&json).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+        decode_session(&self.read_session_bytes(name)?)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
 
     /// Load every session in manifest order.
     pub fn load_all(&self) -> io::Result<Vec<SessionRecord>> {
+        let _span = obs::span("dataset.load");
         self.manifest()?.sessions.iter().map(|n| self.load_session(n)).collect()
     }
 
@@ -357,8 +595,8 @@ impl Dataset {
         }
         let mut records = Vec::with_capacity(manifest.sessions.len());
         for name in &manifest.sessions {
-            match std::fs::read_to_string(self.sessions_dir().join(name)) {
-                Ok(json) => match serde_json::from_str::<SessionRecord>(&json) {
+            match self.read_session_bytes(name) {
+                Ok(bytes) => match decode_session(&bytes) {
                     Ok(record) => records.push(record),
                     Err(e) => errors.push(LoadError::MalformedSession {
                         name: name.clone(),
@@ -526,7 +764,10 @@ mod tests {
         assert_eq!(first.modulation, ran::kpi::Modulation::Qam256);
         assert!(first.scheduled);
         assert_eq!(record.trace.iter().filter(|r| r.direction == Direction::Ul).count(), 1);
-        // load_all follows the manifest the same way.
+        // load_all and load_all_lossy follow the manifest the same way.
         assert_eq!(ds.load_all().unwrap().len(), manifest.sessions.len());
+        let (lossy, errors) = ds.load_all_lossy();
+        assert!(errors.is_empty(), "{errors:?}");
+        assert_eq!(lossy[0].trace, record.trace);
     }
 }

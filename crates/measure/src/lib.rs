@@ -28,7 +28,10 @@ pub use campaign::{
     CheckpointEntry, CheckpointManifest, SessionCoverage, SessionFailure, StreamingOutcome,
     DEFAULT_RETRY_BUDGET,
 };
-pub use dataset::{commit_file, sync_dir, trace_to_csv, Dataset, DatasetManifest, LoadError, SessionRecord};
+pub use dataset::{
+    commit_file, decode_session, encode_session, sync_dir, trace_to_csv, Dataset, DatasetManifest,
+    DecodeError, LoadError, SessionRecord,
+};
 pub use dist::{
     run_distributed, run_worker, DistConfig, DistJob, DistManifest, DistOutcome, DistStats,
     DistTiming, WorkerReport, HANG_ENV,

@@ -411,17 +411,24 @@ impl KpiTrace {
         }
         self.chunks.last_mut().expect("chunk pushed above").push(&kpi);
         self.len += 1;
-        if kpi.slot > 0 {
+        self.observe_time(kpi.slot, kpi.time_s);
+    }
+
+    /// Fold one record's timestamp into the duration bookkeeping. Shared
+    /// by [`KpiTrace::push`] and [`KpiTrace::read_columns`], so a decoded
+    /// trace reports exactly the duration of the trace that was written.
+    fn observe_time(&mut self, slot: u64, time_s: f64) {
+        if slot > 0 {
             // Slot-start timestamps lie on `slot * slot_s` grids, so the
             // slot duration — and with it the slot's *end* — is
             // recoverable from any record past slot 0.
-            let end = kpi.time_s + kpi.time_s / kpi.slot as f64;
+            let end = time_s + time_s / slot as f64;
             if end > self.max_end_s {
                 self.max_end_s = end;
             }
         }
-        if kpi.time_s > self.max_time_s {
-            self.max_time_s = kpi.time_s;
+        if time_s > self.max_time_s {
+            self.max_time_s = time_s;
         }
     }
 
@@ -1193,6 +1200,251 @@ impl Deserialize for KpiTrace {
                 queue_delay_ms: queue_delay_ms[i],
             });
         }
+        Ok(trace)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Binary column dump: the body of a dataset v3 session file.
+// ---------------------------------------------------------------------------
+
+/// Byte width of each value column of the binary dump, in dump order:
+/// `slot`, `time_s`, `carrier`, `n_prb`, `n_re`, `mcs`, `modulation`,
+/// `layers`, `tbs_bits`, `delivered_bits`, `cqi`, `sinr_db`, `rsrp_dbm`,
+/// `rsrq_db`, `serving_site`, `queue_bits`, `queue_delay_ms`.
+pub const VALUE_COLUMN_WIDTHS: [usize; 17] = [8, 8, 1, 2, 4, 1, 1, 1, 4, 4, 1, 8, 8, 8, 4, 4, 8];
+
+/// Packed flag columns after the value columns, in dump order: `ul`,
+/// `scheduled`, `is_retx`, `block_error` — one bit per record,
+/// `len.div_ceil(64)` little-endian `u64` words each.
+pub const FLAG_COLUMNS: usize = 4;
+
+/// Why [`KpiTrace::read_columns`] refused a column dump.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ColumnError {
+    /// The dump is not the size `len` records need.
+    LengthMismatch {
+        /// Records the caller declared.
+        len: usize,
+        /// Bytes those records need (`None` when the size overflows).
+        expected: Option<usize>,
+        /// Bytes supplied.
+        found: usize,
+    },
+    /// A modulation byte outside the [`modulation_code`] table.
+    UnknownModulation {
+        /// Record index.
+        index: usize,
+        /// The offending byte.
+        code: u8,
+    },
+}
+
+impl std::fmt::Display for ColumnError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ColumnError::LengthMismatch { len, expected: Some(want), found } => {
+                write!(f, "{len} records need {want} column bytes, found {found}")
+            }
+            ColumnError::LengthMismatch { len, expected: None, found } => {
+                write!(f, "{len} records overflow the column size ({found} bytes found)")
+            }
+            ColumnError::UnknownModulation { index, code } => {
+                write!(f, "record {index}: unknown modulation code {code}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ColumnError {}
+
+/// A fixed-width scalar of the binary dump, stored little-endian — `f64`
+/// as its IEEE-754 bit pattern, so NaN payloads, signed zeros,
+/// infinities and subnormals survive exactly.
+trait DumpScalar: Copy {
+    const WIDTH: usize;
+    fn put(self, out: &mut Vec<u8>);
+    /// Decode from exactly `WIDTH` bytes.
+    fn take(bytes: &[u8]) -> Self;
+}
+
+macro_rules! dump_scalar_int {
+    ($($t:ty),*) => {$(
+        impl DumpScalar for $t {
+            const WIDTH: usize = std::mem::size_of::<$t>();
+            fn put(self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+            fn take(bytes: &[u8]) -> Self {
+                <$t>::from_le_bytes(bytes.try_into().expect("exactly WIDTH bytes"))
+            }
+        }
+    )*};
+}
+
+dump_scalar_int!(u8, u16, u32, u64);
+
+impl DumpScalar for f64 {
+    const WIDTH: usize = 8;
+    fn put(self, out: &mut Vec<u8>) {
+        self.to_bits().put(out);
+    }
+    fn take(bytes: &[u8]) -> Self {
+        f64::from_bits(u64::take(bytes))
+    }
+}
+
+/// Append one column, concatenated across chunks, zero-padded to a
+/// multiple of 8 bytes.
+fn put_column<T: DumpScalar>(out: &mut Vec<u8>, chunks: &[Chunk], col: impl Fn(&Chunk) -> &[T]) {
+    let start = out.len();
+    for chunk in chunks {
+        for &v in col(chunk) {
+            v.put(out);
+        }
+    }
+    out.resize(start + (out.len() - start).next_multiple_of(8), 0);
+}
+
+/// Decode the `rows` (in units of `T`) of one dumped column into `dst`.
+fn fill<T: DumpScalar>(dst: &mut Vec<T>, column: &[u8], rows: &std::ops::Range<usize>) {
+    let bytes = &column[rows.start * T::WIDTH..rows.end * T::WIDTH];
+    dst.extend(bytes.chunks_exact(T::WIDTH).map(T::take));
+}
+
+impl KpiTrace {
+    /// Bytes [`KpiTrace::write_columns`] emits for `len` records, or `None`
+    /// when that overflows `usize`.
+    pub fn columns_byte_len(len: usize) -> Option<usize> {
+        let flags = FLAG_COLUMNS * len.div_ceil(64) * 8;
+        VALUE_COLUMN_WIDTHS.iter().try_fold(flags, |total, &width| {
+            total.checked_add(len.checked_mul(width)?.checked_next_multiple_of(8)?)
+        })
+    }
+
+    /// Append the binary column dump of this trace to `out`: the value
+    /// columns in [`VALUE_COLUMN_WIDTHS`] order, then the
+    /// [`FLAG_COLUMNS`] packed flag columns. Each column is one
+    /// contiguous little-endian run over the whole trace, zero-padded to
+    /// a multiple of 8 bytes; the record count is the caller's to frame.
+    /// Appends exactly [`KpiTrace::columns_byte_len`] bytes.
+    pub fn write_columns(&self, out: &mut Vec<u8>) {
+        let total = KpiTrace::columns_byte_len(self.len).expect("an in-memory trace's dump fits");
+        let start = out.len();
+        out.reserve(total);
+        let c = &self.chunks;
+        put_column(out, c, |c| &c.slot);
+        put_column(out, c, |c| &c.time_s);
+        put_column(out, c, |c| &c.carrier);
+        put_column(out, c, |c| &c.n_prb);
+        put_column(out, c, |c| &c.n_re);
+        put_column(out, c, |c| &c.mcs);
+        put_column(out, c, |c| &c.modulation);
+        put_column(out, c, |c| &c.layers);
+        put_column(out, c, |c| &c.tbs_bits);
+        put_column(out, c, |c| &c.delivered_bits);
+        put_column(out, c, |c| &c.cqi);
+        put_column(out, c, |c| &c.sinr_db);
+        put_column(out, c, |c| &c.rsrp_dbm);
+        put_column(out, c, |c| &c.rsrq_db);
+        put_column(out, c, |c| &c.serving_site);
+        put_column(out, c, |c| &c.queue_bits);
+        put_column(out, c, |c| &c.queue_delay_ms);
+        put_column(out, c, |c| &c.ul);
+        put_column(out, c, |c| &c.scheduled);
+        put_column(out, c, |c| &c.is_retx);
+        put_column(out, c, |c| &c.block_error);
+        debug_assert_eq!(out.len() - start, total);
+    }
+
+    /// Decode a dump written by [`KpiTrace::write_columns`] for `len`
+    /// records. The size is checked against `len` before anything is
+    /// allocated, so a forged `len` cannot make the decoder reserve more
+    /// than the input justifies. Column padding and flag bits past `len`
+    /// are ignored. The duration bookkeeping is rebuilt by the same fold
+    /// [`KpiTrace::push`] runs, so [`KpiTrace::duration_s`] comes back
+    /// bit-identical.
+    pub fn read_columns(len: usize, bytes: &[u8]) -> Result<KpiTrace, ColumnError> {
+        let expected = KpiTrace::columns_byte_len(len);
+        if expected != Some(bytes.len()) {
+            return Err(ColumnError::LengthMismatch { len, expected, found: bytes.len() });
+        }
+        let mut rest = bytes;
+        let mut column = |bytes: usize| {
+            let (col, tail) = rest.split_at(bytes.next_multiple_of(8));
+            rest = tail;
+            col
+        };
+        let [
+            slot,
+            time_s,
+            carrier,
+            n_prb,
+            n_re,
+            mcs,
+            modulation,
+            layers,
+            tbs_bits,
+            delivered_bits,
+            cqi,
+            sinr_db,
+            rsrp_dbm,
+            rsrq_db,
+            serving_site,
+            queue_bits,
+            queue_delay_ms,
+        ] = VALUE_COLUMN_WIDTHS.map(|width| column(len * width));
+        let [ul, scheduled, is_retx, block_error] =
+            [(); FLAG_COLUMNS].map(|()| column(len.div_ceil(64) * 8));
+
+        let unknown = |&m: &u8| modulation_from_code(m).is_none();
+        if let Some(index) = modulation[..len].iter().position(unknown) {
+            return Err(ColumnError::UnknownModulation { index, code: modulation[index] });
+        }
+
+        let mut trace = KpiTrace::with_capacity(len);
+        for start in (0..len).step_by(CHUNK_RECORDS) {
+            let rows = start..len.min(start + CHUNK_RECORDS);
+            let words = start / 64..rows.end.div_ceil(64);
+            let mut c = Chunk::preallocated();
+            c.len = rows.len();
+            fill(&mut c.slot, slot, &rows);
+            fill(&mut c.time_s, time_s, &rows);
+            fill(&mut c.carrier, carrier, &rows);
+            fill(&mut c.n_prb, n_prb, &rows);
+            fill(&mut c.n_re, n_re, &rows);
+            fill(&mut c.mcs, mcs, &rows);
+            fill(&mut c.modulation, modulation, &rows);
+            fill(&mut c.layers, layers, &rows);
+            fill(&mut c.tbs_bits, tbs_bits, &rows);
+            fill(&mut c.delivered_bits, delivered_bits, &rows);
+            fill(&mut c.cqi, cqi, &rows);
+            fill(&mut c.sinr_db, sinr_db, &rows);
+            fill(&mut c.rsrp_dbm, rsrp_dbm, &rows);
+            fill(&mut c.rsrq_db, rsrq_db, &rows);
+            fill(&mut c.serving_site, serving_site, &rows);
+            fill(&mut c.queue_bits, queue_bits, &rows);
+            fill(&mut c.queue_delay_ms, queue_delay_ms, &rows);
+            for (dst, src) in [
+                (&mut c.ul, ul),
+                (&mut c.scheduled, scheduled),
+                (&mut c.is_retx, is_retx),
+                (&mut c.block_error, block_error),
+            ] {
+                fill(dst, src, &words);
+                // Aggregations scan whole flag words and rely on bits past
+                // the chunk's length being clear.
+                let tail_bits = rows.end % 64;
+                if tail_bits != 0 {
+                    *dst.last_mut().expect("a partial word exists") &= (1u64 << tail_bits) - 1;
+                }
+            }
+            for (&s, &t) in c.slot.iter().zip(&c.time_s) {
+                trace.observe_time(s, t);
+            }
+            trace.chunks.push(c);
+        }
+        trace.len = len;
         Ok(trace)
     }
 }

@@ -4,7 +4,9 @@
 //! streams, including ones that straddle chunk boundaries.
 
 use proptest::prelude::*;
-use ran::kpi::{Direction, KpiTrace, Modulation, SlotKpi, CHUNK_RECORDS};
+use ran::kpi::{
+    ColumnError, Direction, KpiTrace, Modulation, SlotKpi, CHUNK_RECORDS, VALUE_COLUMN_WIDTHS,
+};
 use serde::{Deserialize, Serialize};
 
 /// SplitMix64: small deterministic generator for record fields, so each
@@ -203,6 +205,74 @@ proptest! {
         prop_assert_eq!(&trace, &back);
         prop_assert!((trace.duration_s() - back.duration_s()).abs() < 1e-12);
     }
+
+    #[test]
+    fn column_dump_roundtrip(seed in 0u64..1_000_000, n in 0usize..2 * CHUNK_RECORDS + 300) {
+        let records = gen_records(seed, n);
+        let trace: KpiTrace = records.iter().copied().collect();
+        let mut dump = Vec::new();
+        trace.write_columns(&mut dump);
+        prop_assert_eq!(Some(dump.len()), KpiTrace::columns_byte_len(n));
+        prop_assert_eq!(dump.len() % 8, 0);
+        let back = KpiTrace::read_columns(n, &dump).expect("decode own dump");
+        prop_assert_eq!(&trace, &back);
+        prop_assert_eq!(trace.duration_s().to_bits(), back.duration_s().to_bits());
+        prop_assert_eq!(trace.heap_bytes(), back.heap_bytes());
+        // Appending to a decoded trace behaves like appending to the original.
+        let (mut a, mut b) = (trace, back);
+        for r in gen_records(seed ^ 1, 70) {
+            a.push(r);
+            b.push(r);
+        }
+        prop_assert_eq!(a, b);
+    }
+}
+
+#[test]
+fn column_dump_rejects_wrong_sizes_and_codes() {
+    let records = gen_records(9, 130);
+    let trace: KpiTrace = records.iter().copied().collect();
+    let mut dump = Vec::new();
+    trace.write_columns(&mut dump);
+    for (len, bytes) in [(131, &dump[..]), (129, &dump[..]), (130, &dump[..dump.len() - 8])] {
+        assert!(matches!(
+            KpiTrace::read_columns(len, bytes),
+            Err(ColumnError::LengthMismatch { .. })
+        ));
+    }
+    assert!(matches!(
+        KpiTrace::read_columns(usize::MAX, &dump),
+        Err(ColumnError::LengthMismatch { expected: None, .. })
+    ));
+    // The modulation column follows slot, time_s, carrier, n_prb, n_re, mcs.
+    let modulation_at: usize =
+        VALUE_COLUMN_WIDTHS[..6].iter().map(|w| (130 * w).next_multiple_of(8)).sum();
+    dump[modulation_at + 17] = 9;
+    assert_eq!(
+        KpiTrace::read_columns(130, &dump),
+        Err(ColumnError::UnknownModulation { index: 17, code: 9 })
+    );
+}
+
+#[test]
+fn column_dump_ignores_stray_flag_bits_past_len() {
+    // 100 unscheduled downlink records: no grant bit set anywhere.
+    let trace: KpiTrace = gen_records(4, 100)
+        .into_iter()
+        .map(|r| SlotKpi { direction: Direction::Dl, scheduled: false, is_retx: false, ..r })
+        .collect();
+    let mut dump = Vec::new();
+    trace.write_columns(&mut dump);
+    // Forge grant bits for records 100..128 in the last `scheduled` word
+    // (flag columns: ul, scheduled, is_retx, block_error; two words each).
+    let last_scheduled_word = dump.len() - 4 * 16 + 16 + 8;
+    let forged = u64::MAX << (100 - 64);
+    dump[last_scheduled_word..last_scheduled_word + 8].copy_from_slice(&forged.to_le_bytes());
+    let back = KpiTrace::read_columns(100, &dump).unwrap();
+    assert_eq!(back, trace);
+    // Aggregations scan whole flag words; the forged bits must not reach them.
+    assert!(back.modulation_shares().is_empty());
+    assert_eq!(back.layer_shares(), [0.0; 5]);
 }
 
 #[test]
