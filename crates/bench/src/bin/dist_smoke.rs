@@ -18,7 +18,9 @@
 //! Every multi-process directory must compare byte-for-byte against the
 //! reference; the kill run must count `dist.lease_takeovers ≥ 1` and a
 //! lost worker; and no audit invariant outside
-//! `Invariant::dist_expected` may fire anywhere.
+//! `Invariant::dist_expected` may fire anywhere. Every multi-process run
+//! must also record a `dist.drain` span sample; the medians of
+//! `dist.drain` and `dist.merge` are printed.
 //!
 //! ```text
 //! cargo run --release -p midband5g-bench --bin dist_smoke
@@ -115,6 +117,17 @@ fn worker_bin() -> Option<PathBuf> {
     let exe = std::env::current_exe().ok()?;
     let sibling = exe.parent()?.join("midband5g_worker");
     sibling.exists().then_some(sibling)
+}
+
+/// `(samples, total ns)` a span has recorded so far.
+fn span_totals(name: &str) -> (u64, u64) {
+    obs::snapshot().span(name).map_or((0, 0), |h| (h.count, h.sum))
+}
+
+/// Median of `samples` (ns) in milliseconds.
+fn median_ms(samples: &mut [u64]) -> f64 {
+    samples.sort_unstable();
+    samples.get(samples.len() / 2).map_or(f64::NAN, |&ns| ns as f64 / 1e6)
 }
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -225,11 +238,26 @@ fn main() {
         ("3 workers + mid-wave kill", 3, Some(total_specs / 3), CheckpointFaultConfig::default()),
         ("3 workers + checkpoint chaos", 3, None, CKPT_CHAOS),
     ];
+    let (mut drain_ns, mut merge_ns) = (Vec::new(), Vec::new());
     for (label, workers, hang, ckpt_faults) in scenarios {
         let dir = tmpdir(&format!("w{workers}-{}", if hang.is_some() { "kill" } else { "ok" }));
         let scenario_job = DistJob { ckpt_faults, ..job.clone() };
         let config = DistConfig { workers, timing, respawn_budget: 1, max_runtime_ms: 300_000 };
-        let out = match run_distributed(&dir, &scenario_job, &config, &mut spawner(hang)) {
+        let (drain_before, merge_before) = (span_totals("dist.drain"), span_totals("dist.merge"));
+        let run = run_distributed(&dir, &scenario_job, &config, &mut spawner(hang));
+        // One run records at most one sample per span, so the growth of
+        // the running sum is this scenario's duration.
+        let (drain_after, merge_after) = (span_totals("dist.drain"), span_totals("dist.merge"));
+        if drain_after.0 > drain_before.0 {
+            drain_ns.push(drain_after.1 - drain_before.1);
+        } else {
+            eprintln!("FAIL [{label}]: no dist.drain sample recorded");
+            failed = true;
+        }
+        if merge_after.0 > merge_before.0 {
+            merge_ns.push(merge_after.1 - merge_before.1);
+        }
+        let out = match run {
             Ok(out) => out,
             Err(e) => {
                 eprintln!("FAIL [{label}]: {e}");
@@ -273,6 +301,14 @@ fn main() {
         let _ = std::fs::remove_dir_all(&dir);
     }
     let _ = std::fs::remove_dir_all(&ref_dir);
+    // Where the end of a distributed run goes: settled → every worker
+    // reaped, then the merge and the reload of the merged sessions.
+    println!(
+        "median dist.drain {:.1} ms, dist.merge {:.1} ms over {} multi-process runs",
+        median_ms(&mut drain_ns),
+        median_ms(&mut merge_ns),
+        drain_ns.len()
+    );
 
     // Coordinator-side audit: nothing outside the distributed-expected
     // set may have fired.

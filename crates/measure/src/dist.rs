@@ -32,6 +32,16 @@
 //! session is finished and is never re-run; a session file without its
 //! marker is salvage — re-run, never trusted.
 //!
+//! The end of a run is event-driven, not sleep-quantised: dropping the
+//! heartbeat wakes its thread at once (it waits out each period on a
+//! channel the drop disconnects), so a worker exits as soon as its
+//! `obs/worker-<id>.json` report commits rather than up to one
+//! `heartbeat_ms` later. A worker that gives up its own lease releases
+//! it before renaming it to a tombstone, so no renewal can land after
+//! the rename and resurrect it. The coordinator then reloads the merged
+//! sessions on an [`Executor`] with one thread per worker it ran, in
+//! spec order.
+//!
 //! # Why the merge is byte-identical
 //!
 //! Correctness never rests on mutual exclusion. Every session is a pure
@@ -66,6 +76,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::process::Child;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -324,13 +335,17 @@ struct HeartbeatShared {
     /// When set, renewals stop (the hang injection) but held leases
     /// stay on disk — exactly what a wedged worker looks like.
     hang: AtomicBool,
-    stop: AtomicBool,
 }
 
 /// The lease-renewal supervisor: rewrites every held lease (beat + 1)
 /// through [`commit_file`] each period.
+///
+/// The thread waits out each period on a channel nobody sends on, so
+/// dropping the `Heartbeat` disconnects it and wakes the thread at once
+/// instead of after the rest of a period.
 struct Heartbeat {
     shared: Arc<HeartbeatShared>,
+    stop: Option<mpsc::Sender<()>>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -339,28 +354,26 @@ impl Heartbeat {
         let shared = Arc::new(HeartbeatShared {
             held: Mutex::new(HashMap::new()),
             hang: AtomicBool::new(false),
-            stop: AtomicBool::new(false),
         });
         let inner = Arc::clone(&shared);
-        let thread = std::thread::spawn(move || loop {
-            std::thread::sleep(period);
-            if inner.stop.load(Ordering::Relaxed) {
-                return;
-            }
-            if inner.hang.load(Ordering::Relaxed) {
-                continue;
-            }
-            let mut held = inner.held.lock().unwrap_or_else(|e| e.into_inner());
-            for (path, lease) in held.values_mut() {
-                lease.beat += 1;
-                if let Ok(json) = serde_json::to_string(lease) {
-                    // A failed renewal is indistinguishable from a slow
-                    // one; observers handle both via the TTL.
-                    let _ = commit_file(path, json.as_bytes());
+        let (stop, stopped) = mpsc::channel::<()>();
+        let thread = std::thread::spawn(move || {
+            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(period) {
+                if inner.hang.load(Ordering::Relaxed) {
+                    continue;
+                }
+                let mut held = inner.held.lock().unwrap_or_else(|e| e.into_inner());
+                for (path, lease) in held.values_mut() {
+                    lease.beat += 1;
+                    if let Ok(json) = serde_json::to_string(lease) {
+                        // A failed renewal is indistinguishable from a slow
+                        // one; observers handle both via the TTL.
+                        let _ = commit_file(path, json.as_bytes());
+                    }
                 }
             }
         });
-        Heartbeat { shared, thread: Some(thread) }
+        Heartbeat { shared, stop: Some(stop), thread: Some(thread) }
     }
 
     fn hold(&self, spec_hash: u64, path: PathBuf, lease: Lease) {
@@ -371,8 +384,18 @@ impl Heartbeat {
             .insert(spec_hash, (path, lease));
     }
 
+    /// Stop renewing a lease. A renewal in flight holds the lock, so once
+    /// this returns the lease file is never rewritten again.
     fn release(&self, spec_hash: u64) {
         self.shared.held.lock().unwrap_or_else(|e| e.into_inner()).remove(&spec_hash);
+    }
+
+    /// Abandon a held lease by renaming it to `tomb`. Releasing first
+    /// matters: a renewal landing after the rename would commit a fresh
+    /// lease back into `claims/` that nobody renews.
+    fn tombstone(&self, spec_hash: u64, lease: &Path, tomb: &Path) {
+        self.release(spec_hash);
+        let _ = std::fs::rename(lease, tomb);
     }
 
     fn hang(&self) {
@@ -382,7 +405,8 @@ impl Heartbeat {
 
 impl Drop for Heartbeat {
     fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::Relaxed);
+        // Disconnecting wakes the thread mid-wait.
+        self.stop.take();
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -645,8 +669,7 @@ pub fn run_worker(dir: &Path, worker_id: &str, allow_hang: bool) -> io::Result<W
                         report.truncated_commits += 1;
                         reg.counter("dist.truncated_commits").inc();
                         let tomb = claims.join(format!("{key}.dead-{gen}-{worker_id}"));
-                        let _ = std::fs::rename(&lease, &tomb);
-                        heartbeat.release(hashes[i]);
+                        heartbeat.tombstone(hashes[i], &lease, &tomb);
                         continue;
                     }
                     let entry = CheckpointEntry {
@@ -851,6 +874,7 @@ pub fn run_distributed(
     // Give clean workers a grace period to notice completion and exit,
     // then SIGKILL stragglers (e.g. a wedged worker whose lease was
     // already taken over before we observed it).
+    let drain = obs::span("dist.drain");
     let grace = Duration::from_millis((2 * config.timing.lease_ttl_ms).max(2000));
     let grace_deadline = Instant::now() + grace;
     for (_, child, counted) in children.iter_mut() {
@@ -884,6 +908,7 @@ pub fn run_distributed(
             }
         }
     }
+    drop(drain);
 
     // Safety net: if the children died or the deadline fired before the
     // job settled, finish the remainder in-process (hang injection off).
@@ -925,15 +950,23 @@ pub fn run_distributed(
     }
     reg.counter("dist.lease_takeovers").add(stats.lease_takeovers);
 
+    let merge = obs::span("dist.merge");
     let (entries, failures) = merge_finished(dir, job, &specs, &keys)?;
+    // The workers have exited, so their CPUs are free for the reload;
+    // `map` keeps spec order.
     let ds = Dataset::at(dir);
-    let mut results = Vec::with_capacity(entries.len());
-    let mut coverage = Vec::with_capacity(entries.len());
-    for entry in &entries {
-        let record = ds.load_session(&entry.name)?;
-        results.push(SessionResult { spec: record.spec, trace: record.trace });
-        coverage.push(SessionCoverage { index: entry.index, stats: entry.stats });
-    }
+    let results = Executor::new(config.workers as usize)
+        .map(&entries, |entry| {
+            ds.load_session(&entry.name)
+                .map(|record| SessionResult { spec: record.spec, trace: record.trace })
+        })
+        .into_iter()
+        .collect::<io::Result<Vec<_>>>()?;
+    let coverage = entries
+        .iter()
+        .map(|entry| SessionCoverage { index: entry.index, stats: entry.stats })
+        .collect();
+    drop(merge);
     Ok(DistOutcome {
         outcome: CampaignOutcome { results, failures, coverage },
         stats,
@@ -1047,6 +1080,94 @@ mod tests {
         std::fs::write(dir.join("other.dead-0-w1"), b"").unwrap();
         std::fs::write(dir.join("k.lease"), b"").unwrap();
         assert_eq!(generation(&dir, "k").unwrap(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn read_lease(path: &Path) -> Lease {
+        serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap()
+    }
+
+    /// A heartbeat holding one freshly claimed lease at `dir/k.lease`.
+    fn held_lease(dir: &Path, period: Duration) -> (Heartbeat, PathBuf) {
+        let path = lease_path(dir, "k");
+        let lease = Lease { worker: "w1".into(), spec_hash: 1, generation: 0, beat: 0 };
+        create_new_lease(&path, &lease).unwrap();
+        let heartbeat = Heartbeat::spawn(period);
+        heartbeat.hold(1, path.clone(), lease);
+        (heartbeat, path)
+    }
+
+    #[test]
+    fn heartbeat_drop_does_not_wait_out_the_period() {
+        let dir = tmpdir("hb-drop");
+        let (heartbeat, _) = held_lease(&dir, Duration::from_secs(3600));
+        let start = Instant::now();
+        drop(heartbeat);
+        assert!(start.elapsed() < Duration::from_secs(1), "drop took {:?}", start.elapsed());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn heartbeat_renews_held_leases_every_period() {
+        let dir = tmpdir("hb-beat");
+        let (_heartbeat, path) = held_lease(&dir, Duration::from_millis(20));
+        std::thread::sleep(Duration::from_millis(200));
+        let beat = read_lease(&path).beat;
+        assert!(beat >= 2, "only {beat} renewals in 200 ms at a 20 ms period");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn hung_heartbeat_leaves_lease_bytes_unchanged() {
+        let dir = tmpdir("hb-hang");
+        let period = Duration::from_millis(10);
+        let (heartbeat, path) = held_lease(&dir, period);
+        while read_lease(&path).beat == 0 {
+            std::thread::sleep(period);
+        }
+        heartbeat.hang();
+        // Let a renewal that was already past the hang check land.
+        std::thread::sleep(2 * period);
+        let frozen = std::fs::read(&path).unwrap();
+        std::thread::sleep(10 * period);
+        assert_eq!(std::fs::read(&path).unwrap(), frozen, "a hung heartbeat renewed");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn released_lease_is_never_rewritten() {
+        let dir = tmpdir("hb-release");
+        let period = Duration::from_millis(5);
+        let (heartbeat, path) = held_lease(&dir, period);
+        while read_lease(&path).beat == 0 {
+            std::thread::sleep(period);
+        }
+        heartbeat.release(1);
+        std::fs::remove_file(&path).unwrap();
+        std::thread::sleep(20 * period);
+        assert!(!path.exists(), "a released lease was rewritten");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn tombstoned_lease_never_reappears() {
+        // The truncate-chaos path abandons its own lease while the
+        // heartbeat is renewing it; a renewal must never resurrect it.
+        let dir = tmpdir("hb-tomb");
+        let path = lease_path(&dir, "k");
+        let heartbeat = Heartbeat::spawn(Duration::from_millis(1));
+        for round in 0..300u64 {
+            let lease = Lease { worker: "w1".into(), spec_hash: 1, generation: 0, beat: 0 };
+            create_new_lease(&path, &lease)
+                .unwrap_or_else(|e| panic!("round {round}: lease resurrected ({e})"));
+            heartbeat.hold(1, path.clone(), lease);
+            std::thread::sleep(Duration::from_micros(round % 7 * 300));
+            heartbeat.tombstone(1, &path, &dir.join(format!("k.dead-{round}-w1")));
+            assert!(!path.exists(), "round {round}: lease resurrected");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!path.exists(), "lease resurrected after the last round");
+        drop(heartbeat);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
