@@ -13,9 +13,11 @@
 //! * **ticker** — publishes a fresh [`WireSnapshot`] of the obs registry
 //!   every [`DaemonConfig::tick_ms`] (safe against concurrent histogram
 //!   writers; see `obs::Registry::snapshot`).
-//! * **acceptor** — serves the bus socket. Connections are handled one
-//!   at a time with a read timeout, so a stalled or malicious client is
-//!   dropped instead of wedging the daemon, and a client killed
+//! * **acceptor** — serves the bus socket. It blocks in `accept`, so a
+//!   request is served as soon as it connects; [`DaemonHandle::shutdown`]
+//!   wakes it with one connection of its own. Connections are handled
+//!   one at a time with a read timeout, so a stalled or malicious client
+//!   is dropped instead of wedging the daemon, and a client killed
 //!   mid-write costs one connection, never the daemon
 //!   (`tests/daemon_live.rs`).
 
@@ -104,6 +106,10 @@ impl DaemonHandle {
     /// Ask every daemon thread to stop.
     pub fn shutdown(&self) {
         self.state.shutdown.store(true, Ordering::Release);
+        // Wake the acceptor out of its blocking `accept`; it sees the
+        // flag and exits without serving. Refused when the acceptor is
+        // already gone, which is as good.
+        let _ = UnixStream::connect(&self.socket_path);
     }
 
     /// Whether shutdown has been requested (locally or over the bus).
@@ -138,7 +144,6 @@ impl DaemonHandle {
 pub fn start(config: DaemonConfig) -> io::Result<DaemonHandle> {
     let _ = std::fs::remove_file(&config.socket_path);
     let listener = UnixListener::bind(&config.socket_path)?;
-    listener.set_nonblocking(true)?;
 
     let state = Arc::new(State {
         store: Arc::new(Mutex::new(RetentionStore::new(config.retention))),
@@ -270,6 +275,8 @@ fn run_acceptor(state: &State, listener: UnixListener) {
     let errors = obs::registry().counter("daemon.bus_errors");
     while !state.shutdown.load(Ordering::Acquire) {
         match listener.accept() {
+            // The wake-up connection from `DaemonHandle::shutdown`.
+            Ok(_) if state.shutdown.load(Ordering::Acquire) => break,
             Ok((stream, _addr)) => {
                 conns.inc();
                 if let Err(e) = serve_connection(state, stream) {
@@ -278,9 +285,8 @@ fn run_acceptor(state: &State, listener: UnixListener) {
                     let _ = e;
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // A failed accept (e.g. the peer reset before it was taken,
+            // or descriptors exhausted): back off briefly and retry.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
@@ -288,9 +294,7 @@ fn run_acceptor(state: &State, listener: UnixListener) {
 
 /// Serve one client until it disconnects, errors, or asks for shutdown.
 fn serve_connection(state: &State, stream: UnixStream) -> Result<(), proto::BusError> {
-    // The stream inherits the listener's non-blocking mode; switch to
-    // blocking reads with a timeout so a stalled client is bounded.
-    stream.set_nonblocking(false)?;
+    // Blocking reads with a timeout, so a stalled client is bounded.
     stream.set_read_timeout(Some(Duration::from_secs(2)))?;
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
     let mut reader = io::BufReader::new(stream.try_clone()?);

@@ -206,13 +206,14 @@ impl RetentionStore {
     }
 
     /// Append a batch of raw samples, evicting the oldest past capacity.
+    /// Only the batch's newest `raw_capacity` samples can survive, so the
+    /// ring evicts and appends in one bulk step each.
     pub fn push_raw(&mut self, batch: &[RawSample]) {
-        for &s in batch {
-            if self.raw.len() == self.config.raw_capacity {
-                self.raw.pop_front();
-            }
-            self.raw.push_back(s);
-        }
+        let capacity = self.config.raw_capacity;
+        let kept = &batch[batch.len().saturating_sub(capacity)..];
+        let overflow = (self.raw.len() + kept.len()).saturating_sub(capacity);
+        self.raw.drain(..overflow);
+        self.raw.extend(kept);
         self.ingested.add(batch.len() as u64);
         self.retained_raw.set(self.raw.len() as i64);
     }

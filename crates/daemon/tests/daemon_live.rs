@@ -213,13 +213,44 @@ fn request_with_retry_survives_a_late_daemon_and_names_the_socket() {
 }
 
 /// `DaemonHandle::shutdown` alone (no bus traffic at all) also brings
-/// every thread down — the supervisor path.
+/// every thread down — the supervisor path — and promptly: the acceptor
+/// blocks in `accept`, so `shutdown` must wake it.
 #[test]
 fn local_shutdown_joins_without_bus_traffic() {
     let mut config = test_config("local");
     config.waves = Some(0); // no campaigns; just the serving skeleton
     let handle = daemon::start(config).expect("daemon starts");
     std::thread::sleep(Duration::from_millis(120));
+    let t0 = Instant::now();
     handle.shutdown();
     handle.join();
+    let took = t0.elapsed();
+    assert!(took < Duration::from_secs(1), "shutdown + join took {took:?}");
+}
+
+/// An idle daemon serves a request as soon as it connects: the acceptor
+/// waits in `accept`, not in a polling nap. Each request comes after a
+/// pause, so the daemon is idle when it arrives, as a client's
+/// occasional query finds it.
+#[test]
+fn idle_daemon_answers_without_a_poll_delay() {
+    let mut config = test_config("rtt");
+    config.waves = Some(0);
+    let socket = config.socket_path.clone();
+    let handle = daemon::start(config).expect("daemon starts");
+    let mut rtts: Vec<Duration> = (0..20)
+        .map(|_| {
+            std::thread::sleep(Duration::from_millis(1));
+            let t0 = Instant::now();
+            match request_once(&socket, &Request::Ping).expect("ping") {
+                Response::Pong { .. } => t0.elapsed(),
+                other => panic!("expected Pong, got {other:?}"),
+            }
+        })
+        .collect();
+    rtts.sort();
+    let median = rtts[rtts.len() / 2];
+    handle.shutdown();
+    handle.join();
+    assert!(median < Duration::from_millis(2), "median round trip {median:?}: {rtts:?}");
 }

@@ -4,8 +4,16 @@
 use analysis::timeseries::{bin_average, bin_counts, bin_sum};
 use daemon::proto::Tier;
 use daemon::store::{
-    metric_index, RawSample, RetentionConfig, RetentionStore, SessionBins, MIN_BIN_S, SEC_BIN_S,
+    kpi_samples, metric_index, RawSample, RetentionConfig, RetentionStore, SessionBins, METRICS,
+    MIN_BIN_S, SEC_BIN_S,
 };
+use daemon::LiveSink;
+use measure::session::{SessionResult, SessionSpec};
+use operators::Operator;
+use ran::kpi::{Direction, SlotKpi};
+use ran::sink::SlotSink;
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex};
 
 fn small() -> RetentionConfig {
     RetentionConfig { raw_capacity: 256, sec_capacity: 128, min_capacity: 16 }
@@ -229,4 +237,121 @@ fn session_bins_drop_nonfinite_samples() {
     bins.add(metric, f64::NAN, 21.0);
     bins.add(metric, -1.0, 21.0);
     assert_eq!(bins.bins[metric], vec![(0, 20.0, 1)]);
+}
+
+/// The reference fold: every finite sample through `SessionBins::add`,
+/// one at a time, in arrival order.
+fn reference_bins(records: &[SlotKpi], epoch_s: f64) -> SessionBins {
+    let mut bins = SessionBins::at_epoch(epoch_s);
+    for kpi in records {
+        kpi_samples(kpi, |metric, value| bins.add(metric, kpi.time_s, value));
+    }
+    bins
+}
+
+/// `LiveSink` folds records per second; its bins must equal the
+/// per-sample reference fold bit for bit. Inputs: real session streams
+/// (single carrier, and T-Mobile's mixed-numerology CA with its LTE
+/// leg), and synthetic records that step back across second boundaries
+/// and carry NaN values, NaN times and negative times.
+#[test]
+fn live_sink_bins_equal_the_per_sample_fold_bitwise() {
+    let mut streams: Vec<(String, Vec<SlotKpi>, f64)> = [
+        (Operator::VodafoneSpain, 0.0),
+        (Operator::OrangeSpain90, 30.0),
+        (Operator::TMobileUs, 60.0),
+    ]
+    .into_iter()
+    .map(|(operator, epoch_s)| {
+        let trace = SessionResult::run(SessionSpec::stationary(operator, 1, 2.5, 31)).trace;
+        (operator.acronym().to_string(), trace.iter().collect(), epoch_s)
+    })
+    .collect();
+    let base = |time_s: f64, direction: Direction| {
+        let mut r = SlotKpi::idle(0, time_s, 0, direction, 9, 12.5, -85.0, -11.0, 0);
+        r.scheduled = true;
+        r.delivered_bits = 24_000;
+        r.queue_delay_ms = 1.5;
+        r
+    };
+    let mut synthetic = Vec::new();
+    for (i, t) in [0.2, 0.7, 1.1, 0.9, 2.4, 1.95, 3.0, 5.5].into_iter().enumerate() {
+        let mut r = base(t, if i % 3 == 0 { Direction::Ul } else { Direction::Dl });
+        r.sinr_db = 10.0 + i as f64;
+        synthetic.push(r);
+        let mut nan_value = base(t + 0.01, Direction::Dl);
+        nan_value.sinr_db = f64::NAN;
+        nan_value.rsrp_dbm = f64::INFINITY;
+        synthetic.push(nan_value);
+    }
+    synthetic.push(base(f64::NAN, Direction::Dl));
+    synthetic.push(base(-0.5, Direction::Ul));
+    synthetic.push(base(f64::INFINITY, Direction::Dl));
+    synthetic.push(base(4.0, Direction::Dl));
+    // A first value of -0.0 must seed its bin as -0.0, not 0.0 + -0.0.
+    let mut negative_zero = base(6.25, Direction::Dl);
+    negative_zero.sinr_db = -0.0;
+    synthetic.push(negative_zero);
+    streams.push(("synthetic".to_string(), synthetic, 120.0));
+
+    for (name, records, epoch_s) in &streams {
+        let store = Arc::new(Mutex::new(RetentionStore::new(RetentionConfig::default())));
+        let mut sink = LiveSink::new(Arc::clone(&store), *epoch_s);
+        for r in records {
+            sink.push(r);
+        }
+        sink.finish();
+        let (got, pushed, _) = sink.into_parts();
+        assert_eq!(pushed, records.len() as u64, "{name}");
+        let want = reference_bins(records, *epoch_s);
+        assert_eq!(got.offset_bin, want.offset_bin, "{name}");
+        assert_eq!(got.bins.len(), METRICS.len(), "{name}");
+        for (metric, (g, w)) in got.bins.iter().zip(&want.bins).enumerate() {
+            let bits = |v: &Vec<(u64, f64, u64)>| -> Vec<(u64, u64, u64)> {
+                v.iter().map(|&(b, sum, n)| (b, sum.to_bits(), n)).collect()
+            };
+            assert_eq!(bits(g), bits(w), "{name}: metric {}", METRICS[metric].name);
+        }
+    }
+}
+
+/// Bulk `push_raw` leaves the same ring as appending one sample at a
+/// time with per-sample eviction, for batches around the capacity edge
+/// on empty, half-full and full rings.
+#[test]
+fn bulk_push_raw_matches_per_sample_eviction() {
+    let config = small();
+    let cap = config.raw_capacity;
+    let sample = |i: usize| RawSample {
+        metric: (i % METRICS.len()) as u8,
+        time_s: i as f64 * 0.001,
+        value: i as f64,
+    };
+    for prefill in [0, cap / 2, cap] {
+        for batch_len in [0, 1, cap - 1, cap, cap + 1, 3 * cap] {
+            let mut store = RetentionStore::new(config);
+            let mut reference = VecDeque::new();
+            let first: Vec<RawSample> = (0..prefill).map(sample).collect();
+            let batch: Vec<RawSample> = (prefill..prefill + batch_len).map(sample).collect();
+            for chunk in [&first, &batch] {
+                store.push_raw(chunk);
+                for &s in chunk.iter() {
+                    if reference.len() == cap {
+                        reference.pop_front();
+                    }
+                    reference.push_back(s);
+                }
+            }
+            let case = format!("prefill {prefill}, batch {batch_len}");
+            assert_eq!(store.raw_len(), reference.len(), "{case}");
+            for metric in 0..METRICS.len() {
+                let series = store.series(metric, Tier::Raw, 0);
+                let want: Vec<&RawSample> =
+                    reference.iter().filter(|s| s.metric as usize == metric).collect();
+                let times: Vec<f64> = want.iter().map(|s| s.time_s).collect();
+                let values: Vec<f64> = want.iter().map(|s| s.value).collect();
+                assert_eq!((series.times, series.values), (times, values), "{case}");
+            }
+        }
+    }
 }

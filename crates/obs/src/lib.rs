@@ -11,7 +11,10 @@
 //!   fixed-bucket histograms backed by leaked atomics. Registration takes
 //!   a mutex once; every update is a relaxed atomic RMW, so instrumented
 //!   hot paths stay allocation-free (`ran/tests/alloc_free.rs` holds with
-//!   instrumentation compiled in).
+//!   instrumentation compiled in). Per-slot hot paths batch their counts
+//!   through [`LocalCounter`], which publishes with one atomic add per
+//!   flush instead of one per event, so parallel sessions do not contend
+//!   on shared counter cells.
 //! * [`span`](mod@span) — scoped enter/exit timing onto duration histograms,
 //!   placed around campaign execution, per-session simulation, slot
 //!   stepping and dataset export.
@@ -35,8 +38,8 @@ pub mod registry;
 pub mod span;
 
 pub use registry::{
-    registry, Counter, Gauge, Histogram, HistogramSnapshot, Registry, COUNT_BOUNDS,
-    DURATION_NS_BOUNDS,
+    registry, Counter, Gauge, Histogram, HistogramSnapshot, LocalCounter, Registry,
+    COUNT_BOUNDS, DURATION_NS_BOUNDS,
 };
 pub use span::{span, SpanGuard};
 

@@ -2,9 +2,14 @@
 //!
 //! Registration (name → storage) takes a mutex and allocates once; the
 //! handles it returns are `Copy` references to leaked atomics, so every
-//! *update* is a single atomic RMW — no locks, no allocation, safe to
-//! call from the per-slot hot path (`ran/tests/alloc_free.rs` covers the
-//! instrumented carrier loop).
+//! *update* is a single atomic RMW — no locks, no allocation
+//! (`ran/tests/alloc_free.rs` covers the instrumented carrier loop).
+//!
+//! Per-slot hot paths batch through [`LocalCounter`] instead: an atomic
+//! RMW on a process-global cell that several session threads update at
+//! once costs a cross-core cache-line transfer per slot, so the carrier
+//! and cell loops count into a plain per-instance `u64` and publish it
+//! with one atomic add every few thousand slots and on drop.
 //!
 //! Lock sites tolerate poisoning: the entry list is only ever appended
 //! to in one step, so a panicking registrant (kind mismatch) cannot
@@ -39,6 +44,69 @@ impl Counter {
 impl std::fmt::Debug for Counter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Counter({})", self.get())
+    }
+}
+
+/// A [`Counter`] front that batches updates in a plain per-instance
+/// count, for hot loops that several threads run at once: `inc`/`add`
+/// touch no shared memory, and [`flush`](LocalCounter::flush) publishes
+/// the pending count with one atomic add. The owner picks the flush
+/// cadence; dropping the handle flushes whatever is left, so a counter
+/// is exact once its owner is gone. A clone starts with nothing pending,
+/// so cloning the owner can never count the same events twice.
+pub struct LocalCounter {
+    counter: Counter,
+    pending: u64,
+}
+
+impl LocalCounter {
+    /// A batching front for `counter`, with nothing pending.
+    pub fn new(counter: Counter) -> LocalCounter {
+        LocalCounter { counter, pending: 0 }
+    }
+
+    /// Count one event locally.
+    #[inline]
+    pub fn inc(&mut self) {
+        self.pending += 1;
+    }
+
+    /// Count `n` events locally.
+    #[inline]
+    pub fn add(&mut self, n: u64) {
+        self.pending += n;
+    }
+
+    /// Events counted since the last flush.
+    #[inline]
+    pub fn pending(&self) -> u64 {
+        self.pending
+    }
+
+    /// Publish the pending count to the shared counter.
+    #[inline]
+    pub fn flush(&mut self) {
+        if self.pending > 0 {
+            self.counter.add(std::mem::take(&mut self.pending));
+        }
+    }
+}
+
+impl Clone for LocalCounter {
+    fn clone(&self) -> LocalCounter {
+        LocalCounter::new(self.counter)
+    }
+}
+
+impl Drop for LocalCounter {
+    fn drop(&mut self) {
+        self.flush();
+    }
+}
+
+impl std::fmt::Debug for LocalCounter {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "LocalCounter({} + {} pending)", self.counter.get(), self.pending)
     }
 }
 
@@ -392,6 +460,33 @@ mod tests {
         a.inc();
         b.add(4);
         assert_eq!(a.get(), before + 5);
+    }
+
+    #[test]
+    fn local_counter_publishes_on_flush_and_drop_only() {
+        let shared = registry().counter("test.reg.local");
+        let mut local = LocalCounter::new(shared);
+        local.inc();
+        local.add(4);
+        assert_eq!((shared.get(), local.pending()), (0, 5));
+        local.flush();
+        assert_eq!((shared.get(), local.pending()), (5, 0));
+        local.add(2);
+        drop(local);
+        assert_eq!(shared.get(), 7);
+    }
+
+    #[test]
+    fn local_counter_clone_starts_empty() {
+        let shared = registry().counter("test.reg.local_clone");
+        let mut local = LocalCounter::new(shared);
+        local.add(3);
+        let copy = local.clone();
+        assert_eq!(copy.pending(), 0);
+        drop(copy);
+        assert_eq!(shared.get(), 0);
+        drop(local);
+        assert_eq!(shared.get(), 3);
     }
 
     #[test]

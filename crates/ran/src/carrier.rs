@@ -17,7 +17,7 @@ use crate::workload::Workload;
 use nr_phy::csi::DEFAULT_CSI_PERIOD_SLOTS;
 use nr_phy::tbs::TbsCache;
 use obs::audit::{self, Invariant};
-use obs::Counter;
+use obs::LocalCounter;
 use radio_channel::channel::{ChannelSimulator, ChannelState};
 use radio_channel::geometry::Position;
 use radio_channel::link::LinkModel;
@@ -69,26 +69,61 @@ const CARRIER_BLER_LABELS: [&str; 8] = [
     "carrier7/bler",
 ];
 
-/// Cached metric handles shared by every carrier. Handles are resolved
-/// once at construction so the per-slot path is pure atomic adds
-/// (`ran/tests/alloc_free.rs` holds with these compiled in).
-#[derive(Debug, Clone, Copy)]
-struct CarrierMetrics {
-    slots: Counter,
-    retx: Counter,
-    block_errors: Counter,
-    delivered_bits: Counter,
+/// Slots a simulator steps between publishing its [`SlotCounters`]. A
+/// live counter value lags by fewer than this many slots per running
+/// simulator, and is exact once the simulator drops.
+pub(crate) const COUNTER_FLUSH_SLOTS: u64 = 4096;
+
+/// The `ran.*` slot counters, registered under the same names by the
+/// single-UE [`Carrier`] and the multi-UE
+/// [`CellSim`](crate::cell::CellSim), so obs totals aggregate across
+/// both engines. Counts batch per instance ([`LocalCounter`]) and
+/// publish every [`COUNTER_FLUSH_SLOTS`] slots and on drop: parallel
+/// sessions never share a counter cache line on the per-slot path, and
+/// `ran/tests/alloc_free.rs` holds with the counters compiled in.
+#[derive(Debug, Clone)]
+pub(crate) struct SlotCounters {
+    slots: LocalCounter,
+    retx: LocalCounter,
+    block_errors: LocalCounter,
+    delivered_bits: LocalCounter,
 }
 
-impl CarrierMetrics {
-    fn new() -> Self {
+impl SlotCounters {
+    pub(crate) fn new() -> Self {
         let reg = obs::registry();
-        CarrierMetrics {
-            slots: reg.counter("ran.slots"),
-            retx: reg.counter("ran.retx"),
-            block_errors: reg.counter("ran.block_errors"),
-            delivered_bits: reg.counter("ran.delivered_bits"),
+        SlotCounters {
+            slots: LocalCounter::new(reg.counter("ran.slots")),
+            retx: LocalCounter::new(reg.counter("ran.retx")),
+            block_errors: LocalCounter::new(reg.counter("ran.block_errors")),
+            delivered_bits: LocalCounter::new(reg.counter("ran.delivered_bits")),
         }
+    }
+
+    /// Count `n` stepped UE-slots, publishing every counter once
+    /// [`COUNTER_FLUSH_SLOTS`] have accumulated.
+    #[inline]
+    pub(crate) fn count_slots(&mut self, n: u64) {
+        self.slots.add(n);
+        if self.slots.pending() >= COUNTER_FLUSH_SLOTS {
+            self.flush();
+        }
+    }
+
+    /// Count one transmitted transport block's outcome.
+    #[inline]
+    pub(crate) fn count_block(&mut self, is_retx: bool, failed: bool, delivered_bits: u32) {
+        self.retx.add(u64::from(is_retx));
+        self.block_errors.add(u64::from(failed));
+        self.delivered_bits.add(u64::from(delivered_bits));
+    }
+
+    #[cold]
+    fn flush(&mut self) {
+        self.slots.flush();
+        self.retx.flush();
+        self.block_errors.flush();
+        self.delivered_bits.flush();
     }
 }
 
@@ -117,7 +152,7 @@ pub struct Carrier {
     /// Memoised §5.1.3.2 TBS results (inputs cycle with the TDD pattern
     /// and CSI period; DL and UL share the memo — `n_re` disambiguates).
     tbs_cache: TbsCache,
-    metrics: CarrierMetrics,
+    metrics: SlotCounters,
 }
 
 impl Carrier {
@@ -152,7 +187,7 @@ impl Carrier {
             prev_rank: 2,
             alloc_table,
             tbs_cache: TbsCache::new(),
-            metrics: CarrierMetrics::new(),
+            metrics: SlotCounters::new(),
         }
     }
 
@@ -268,7 +303,7 @@ impl Carrier {
             self.amc.update_csi(csi);
         }
         let cqi = self.amc.csi().cqi.value();
-        self.metrics.slots.inc();
+        self.metrics.count_slots(1);
         if audit::enabled() {
             audit::check(Invariant::CqiRange, cqi <= 15);
         }
@@ -371,13 +406,7 @@ impl Carrier {
         self.amc.harq_feedback(!failed);
 
         let delivered_bits = if failed { 0 } else { tbs_bits };
-        if failed {
-            self.metrics.block_errors.inc();
-        }
-        if is_retx {
-            self.metrics.retx.inc();
-        }
-        self.metrics.delivered_bits.add(u64::from(delivered_bits));
+        self.metrics.count_block(is_retx, failed, delivered_bits);
         if audit::enabled() {
             audit::check(Invariant::RbWithinCarrier, alloc.n_prb <= self.cfg.n_rb);
             audit::check(
@@ -468,13 +497,7 @@ impl Carrier {
         }
 
         let delivered_bits = if failed { 0 } else { tbs_bits };
-        if failed {
-            self.metrics.block_errors.inc();
-        }
-        if is_retx {
-            self.metrics.retx.inc();
-        }
-        self.metrics.delivered_bits.add(u64::from(delivered_bits));
+        self.metrics.count_block(is_retx, failed, delivered_bits);
         if audit::enabled() {
             audit::check(Invariant::RbWithinCarrier, alloc.n_prb <= self.cfg.n_rb);
             audit::check(

@@ -43,7 +43,7 @@
 //! emitted records are byte-identical to it (`ran/tests/cell_props.rs`).
 
 use crate::amc::{AmcState, OllaConfig};
-use crate::carrier::TrafficPattern;
+use crate::carrier::{SlotCounters, TrafficPattern};
 use crate::config::CellConfig;
 use crate::flow::Flow;
 use crate::harq::{HarqConfig, HarqEntity};
@@ -56,7 +56,6 @@ use nr_phy::cqi::Cqi;
 use nr_phy::csi::{CsiReport, DEFAULT_CSI_PERIOD_SLOTS};
 use nr_phy::tbs::TbsCache;
 use obs::audit::{self, Invariant};
-use obs::Counter;
 use radio_channel::channel::{ChannelConfig, ChannelSimulator, ChannelState};
 use radio_channel::geometry::{DeploymentLayout, Position};
 use radio_channel::link::LinkModel;
@@ -164,38 +163,6 @@ impl CellSink for CellTraces {
     }
 }
 
-/// Cached metric handles (same registry names as the single-UE
-/// [`Carrier`](crate::carrier::Carrier), so obs totals aggregate across both engines). Per-slot
-/// deltas accumulate in locals and flush as one atomic add per counter
-/// per slot, keeping the hot path at four atomics regardless of N.
-#[derive(Debug, Clone, Copy)]
-struct CellMetrics {
-    slots: Counter,
-    retx: Counter,
-    block_errors: Counter,
-    delivered_bits: Counter,
-}
-
-impl CellMetrics {
-    fn new() -> Self {
-        let reg = obs::registry();
-        CellMetrics {
-            slots: reg.counter("ran.slots"),
-            retx: reg.counter("ran.retx"),
-            block_errors: reg.counter("ran.block_errors"),
-            delivered_bits: reg.counter("ran.delivered_bits"),
-        }
-    }
-}
-
-/// Per-slot metric deltas, flushed to the atomic counters once per slot.
-#[derive(Debug, Clone, Copy, Default)]
-struct MetricDeltas {
-    retx: u64,
-    block_errors: u64,
-    delivered_bits: u64,
-}
-
 /// UEs swept per fused phase-2+3 chunk. Phases 2 and 3 are per-UE
 /// independent once the slot's grants are fixed, so the sweep fuses them
 /// over small chunks: a UE's channel state, traffic queues and AMC column
@@ -244,7 +211,7 @@ pub struct CellSim {
     eligible: Vec<u32>,
     // --- shared across UEs ---
     tbs_cache: TbsCache,
-    metrics: CellMetrics,
+    metrics: SlotCounters,
 }
 
 impl CellSim {
@@ -312,7 +279,7 @@ impl CellSim {
             ul_prbs: vec![0; n],
             eligible: Vec::with_capacity(n),
             tbs_cache: TbsCache::new(),
-            metrics: CellMetrics::new(),
+            metrics: SlotCounters::new(),
             params,
         }
     }
@@ -403,7 +370,6 @@ impl CellSim {
         // index order, DL before UL, exactly as the module contract says.
         let csi_slot = slot.is_multiple_of(self.csi_period);
         let ul_capable = self.params.cell.ul_symbols(slot) > 0;
-        let mut deltas = MetricDeltas::default();
         let mut cqi_buf = [Cqi::saturating(0); UE_CHUNK];
         let mut start = 0;
         while start < n {
@@ -465,7 +431,7 @@ impl CellSim {
                         &mut self.dl_harq[i],
                         &mut self.dl_flows[i],
                         &mut self.bler_rng[i],
-                        &mut deltas,
+                        &mut self.metrics,
                         slot,
                         time_s,
                         cqi,
@@ -489,7 +455,7 @@ impl CellSim {
                             &mut self.ul_harq[i],
                             &mut self.ul_flows[i],
                             &mut self.bler_rng[i],
-                            &mut deltas,
+                            &mut self.metrics,
                             slot,
                             time_s,
                             cqi,
@@ -509,10 +475,7 @@ impl CellSim {
             }
             start = end;
         }
-        self.metrics.slots.add(n as u64);
-        self.metrics.retx.add(deltas.retx);
-        self.metrics.block_errors.add(deltas.block_errors);
-        self.metrics.delivered_bits.add(deltas.delivered_bits);
+        self.metrics.count_slots(n as u64);
     }
 
     /// Fill `dl_prbs`/`ul_prbs` with this slot's integer grants.
@@ -615,7 +578,7 @@ fn dl_transmit(
     harq: &mut HarqEntity,
     flow: &mut Flow,
     rng: &mut ChaCha12Rng,
-    deltas: &mut MetricDeltas,
+    counters: &mut SlotCounters,
     slot: u64,
     time_s: f64,
     cqi: u8,
@@ -658,13 +621,7 @@ fn dl_transmit(
     amc.harq_feedback(!failed);
 
     let delivered_bits = if failed { 0 } else { tbs_bits };
-    if failed {
-        deltas.block_errors += 1;
-    }
-    if is_retx {
-        deltas.retx += 1;
-    }
-    deltas.delivered_bits += u64::from(delivered_bits);
+    counters.count_block(is_retx, failed, delivered_bits);
     if auditing {
         audit::check(Invariant::RbWithinCarrier, alloc.n_prb <= cfg.n_rb);
         audit::check(Invariant::HarqAttemptsWithinMax, attempts <= harq.config().max_attempts);
@@ -705,7 +662,7 @@ fn ul_transmit(
     harq: &mut HarqEntity,
     flow: &mut Flow,
     rng: &mut ChaCha12Rng,
-    deltas: &mut MetricDeltas,
+    counters: &mut SlotCounters,
     slot: u64,
     time_s: f64,
     cqi: u8,
@@ -750,13 +707,7 @@ fn ul_transmit(
     }
 
     let delivered_bits = if failed { 0 } else { tbs_bits };
-    if failed {
-        deltas.block_errors += 1;
-    }
-    if is_retx {
-        deltas.retx += 1;
-    }
-    deltas.delivered_bits += u64::from(delivered_bits);
+    counters.count_block(is_retx, failed, delivered_bits);
     if auditing {
         audit::check(Invariant::RbWithinCarrier, alloc.n_prb <= cfg.n_rb);
         audit::check(Invariant::HarqAttemptsWithinMax, attempts <= harq.config().max_attempts);

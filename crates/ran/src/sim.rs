@@ -7,13 +7,13 @@
 //! is how the paper's Table 3 mixed-numerology CA combos (Appendix 10.5)
 //! are simulated without fractional-slot bookkeeping.
 
-use crate::carrier::{Carrier, TrafficPattern};
+use crate::carrier::{Carrier, TrafficPattern, COUNTER_FLUSH_SLOTS};
 use crate::config::UplinkRouting;
 use crate::kpi::KpiTrace;
 use crate::lte::LteAnchor;
 use crate::sink::SlotSink;
 use obs::audit::{self, Invariant};
-use obs::{Counter, Histogram};
+use obs::{Histogram, LocalCounter};
 use radio_channel::mobility::{MobilityModel, MobilityState};
 use radio_channel::rng::SeedTree;
 
@@ -51,8 +51,9 @@ pub struct UeSim {
     config: UeSimConfig,
     base_slot_s: f64,
     tick: u64,
-    /// Cached metric handles (resolved once; per-tick updates are atomic).
-    m_ticks: Counter,
+    /// Cached metric handles (resolved once). Ticks batch locally and
+    /// publish every [`COUNTER_FLUSH_SLOTS`] ticks and on drop.
+    m_ticks: LocalCounter,
     m_tick_span: Histogram,
     /// Last emitted `time_s` per carrier / for the LTE leg — timestamps
     /// are only non-decreasing *within* a carrier (mixed-numerology CA
@@ -92,7 +93,7 @@ impl UeSim {
             config,
             base_slot_s,
             tick: 0,
-            m_ticks: obs::registry().counter("sim.ticks"),
+            m_ticks: LocalCounter::new(obs::registry().counter("sim.ticks")),
             m_tick_span: obs::registry().span_histogram("sim.tick"),
             last_time: vec![f64::NEG_INFINITY; n],
             lte_last_time: f64::NEG_INFINITY,
@@ -149,6 +150,9 @@ impl UeSim {
         let tick = self.tick;
         self.tick += 1;
         self.m_ticks.inc();
+        if self.m_ticks.pending() >= COUNTER_FLUSH_SLOTS {
+            self.m_ticks.flush();
+        }
         // Sample 1-in-64 ticks: enough resolution for the slot-stepping
         // span histogram without paying two clock reads per slot.
         // (Masking, not `is_multiple_of`: the workspace MSRV is 1.75.)
