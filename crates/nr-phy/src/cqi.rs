@@ -10,6 +10,7 @@
 use crate::error::PhyError;
 use crate::mcs::{McsIndex, McsTable, Modulation};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// A channel quality indicator, 0..=15. CQI 0 means "out of range".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -182,12 +183,46 @@ impl CqiToMcsPolicy {
         if cqi.is_out_of_range() {
             return McsIndex(0);
         }
-        let target_se = self.cqi_table.spectral_efficiency(cqi);
-        let base = self.mcs_table.highest_index_at_or_below(target_se);
+        let base = base_index(self.cqi_table, self.mcs_table, cqi);
         let shifted = (base.0 as i16 + self.index_offset as i16)
             .clamp(0, self.mcs_table.max_index().0 as i16);
         McsIndex(shifted as u8)
     }
+}
+
+/// The SE-matched base MCS index per [CQI table][MCS table][CQI]. Only
+/// 2 × 3 × 16 of them exist, and [`CqiToMcsPolicy::map`] runs on every
+/// DL and UL grant: without the table each call rescans the MCS table,
+/// one float divide per row.
+static BASE_INDEX_LUT: OnceLock<[[[McsIndex; 16]; 3]; 2]> = OnceLock::new();
+
+/// [`McsTable::highest_index_at_or_below`] of the CQI row's spectral
+/// efficiency, read from [`BASE_INDEX_LUT`].
+fn base_index(cqi_table: CqiTable, mcs_table: McsTable, cqi: Cqi) -> McsIndex {
+    let lut = BASE_INDEX_LUT.get_or_init(|| {
+        let mut lut = [[[McsIndex(0); 16]; 3]; 2];
+        for (c_i, c) in [CqiTable::Table1, CqiTable::Table2].into_iter().enumerate() {
+            for (m_i, m) in
+                [McsTable::Qam64, McsTable::Qam256, McsTable::Qam64LowSe].into_iter().enumerate()
+            {
+                for q in 0..16u8 {
+                    let target_se = c.spectral_efficiency(Cqi(q));
+                    lut[c_i][m_i][q as usize] = m.highest_index_at_or_below(target_se);
+                }
+            }
+        }
+        lut
+    });
+    let c_i = match cqi_table {
+        CqiTable::Table1 => 0,
+        CqiTable::Table2 => 1,
+    };
+    let m_i = match mcs_table {
+        McsTable::Qam64 => 0,
+        McsTable::Qam256 => 1,
+        McsTable::Qam64LowSe => 2,
+    };
+    lut[c_i][m_i][cqi.0 as usize]
 }
 
 #[cfg(test)]
@@ -257,6 +292,32 @@ mod tests {
         // Offsets clamp at the table edges.
         assert_eq!(aggressive.map(Cqi::MAX), McsTable::Qam256.max_index());
         assert_eq!(conservative.map(Cqi::new(1).unwrap()), McsIndex(0));
+    }
+
+    #[test]
+    fn map_matches_the_table_scan() {
+        // The lookup table against the computation it caches, over every
+        // policy the types admit in the offsets' working range.
+        for cqi_table in [CqiTable::Table1, CqiTable::Table2] {
+            for mcs_table in [McsTable::Qam64, McsTable::Qam256, McsTable::Qam64LowSe] {
+                for index_offset in -31..=31i8 {
+                    let policy = CqiToMcsPolicy { cqi_table, mcs_table, index_offset };
+                    for c in 0..=15u8 {
+                        let cqi = Cqi::new(c).unwrap();
+                        let want = if cqi.is_out_of_range() {
+                            McsIndex(0)
+                        } else {
+                            let target_se = cqi_table.spectral_efficiency(cqi);
+                            let base = mcs_table.highest_index_at_or_below(target_se);
+                            let shifted = (base.0 as i16 + index_offset as i16)
+                                .clamp(0, mcs_table.max_index().0 as i16);
+                            McsIndex(shifted as u8)
+                        };
+                        assert_eq!(policy.map(cqi), want, "{policy:?} CQI {c}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

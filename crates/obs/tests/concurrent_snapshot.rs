@@ -10,20 +10,27 @@
 //!    totals never decrease across consecutive snapshots.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
+
+const WRITERS: usize = 4;
 
 #[test]
 fn snapshot_never_tears_under_concurrent_recording() {
     let hist = obs::registry().histogram("test.tear.hist", obs::COUNT_BOUNDS);
     let counter = obs::registry().counter("test.tear.counter");
     let stop = Arc::new(AtomicBool::new(false));
+    // Every writer records once before the snapshot loop starts, so the
+    // loop always runs under load: on a small machine the 500 snapshots
+    // could otherwise finish before any writer thread is scheduled.
+    let started = Arc::new(Barrier::new(WRITERS + 1));
 
-    let writers: Vec<_> = (0..4)
+    let writers: Vec<_> = (0..WRITERS as u64)
         .map(|w| {
             let stop = Arc::clone(&stop);
+            let started = Arc::clone(&started);
             std::thread::spawn(move || {
                 let mut x: u64 = 0x9e37_79b9 + w;
-                while !stop.load(Ordering::Relaxed) {
+                let mut record = || {
                     // Cheap xorshift over the bucket range keeps every
                     // bound (and the overflow bucket) in play.
                     x ^= x << 13;
@@ -31,10 +38,16 @@ fn snapshot_never_tears_under_concurrent_recording() {
                     x ^= x << 17;
                     hist.record(x % 200_000);
                     counter.inc();
+                };
+                record();
+                started.wait();
+                while !stop.load(Ordering::Relaxed) {
+                    record();
                 }
             })
         })
         .collect();
+    started.wait();
 
     let mut last_count = 0u64;
     let mut last_sum = 0u64;

@@ -57,6 +57,14 @@ impl SeedTree {
     }
 }
 
+/// Whether [`ChaCha12Rng::fill_u64`] may batch keystream blocks on AVX2:
+/// only when the `vmath` dispatch (picked once per process) runs its
+/// AVX2 arm, so `MIDBAND5G_SIMD` caps the keystream and the float
+/// kernels alike.
+pub(crate) fn keystream_avx2() -> bool {
+    vmath::active_arm() == vmath::Arm::Avx2
+}
+
 /// FNV-1a style mixing of a seed with a label — cheap, stable across
 /// platforms and Rust versions (unlike `DefaultHasher`).
 fn mix(seed: u64, label: &str) -> u64 {

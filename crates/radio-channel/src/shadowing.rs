@@ -7,7 +7,7 @@
 //! shadowing draw while a driving UE sees it swing — one of the reasons
 //! channel variability worsens with speed (paper §7).
 
-use crate::rng::SeedTree;
+use crate::rng::{keystream_avx2, SeedTree};
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
 use serde::{Deserialize, Serialize};
@@ -45,10 +45,12 @@ pub(crate) const GAUSS_TILE: usize = 32;
 ///
 /// The AR(1) shadowing/fading updates each consume one N(0,1) draw per
 /// slot; computing them one at a time keeps the Box–Muller `ln`/`cos`
-/// scalar. The tile draws the underlying uniforms in exactly the order
-/// the scalar code would (u1 then u2, draw by draw — the RNG stream is
-/// untouched) and converts a whole tile at once through
-/// [`vmath::gaussian_slice`], whose lanes are bit-identical to
+/// scalar. A refill takes the tile's `2 × GAUSS_TILE` keystream words in
+/// one [`ChaCha12Rng::fill_u64`] call (the same words, in the same order,
+/// as the scalar code's `u1`, `u2`, `u1`, … draws — the RNG stream is
+/// untouched), converts them with `gen_range`'s exact formula
+/// ([`rand::f64_in_range`]), and turns the whole tile into Gaussians
+/// through [`vmath::gaussian_slice`], whose lanes are bit-identical to
 /// [`vmath::gaussian_pair`]. Result: the value stream is byte-equal to
 /// point-of-use scalar draws, only cheaper and in bursts.
 #[derive(Debug, Clone)]
@@ -67,11 +69,13 @@ impl GaussianTile {
     /// Next innovation, refilling the tile from `rng` when drained.
     pub(crate) fn next_batched(&mut self, rng: &mut ChaCha12Rng) -> f64 {
         if self.pos == self.len {
+            let mut words = [0u64; 2 * GAUSS_TILE];
+            rng.fill_u64(keystream_avx2(), &mut words);
             let mut u1 = [0.0; GAUSS_TILE];
             let mut u2 = [0.0; GAUSS_TILE];
-            for i in 0..GAUSS_TILE {
-                u1[i] = rng.gen_range(f64::EPSILON..1.0);
-                u2[i] = rng.gen_range(0.0..1.0);
+            for (i, pair) in words.chunks_exact(2).enumerate() {
+                u1[i] = rand::f64_in_range(f64::EPSILON, 1.0, pair[0]);
+                u2[i] = rand::f64_in_range(0.0, 1.0, pair[1]);
             }
             vmath::gaussian_slice(&u1, &u2, &mut self.buf);
             self.pos = 0;
@@ -281,10 +285,12 @@ impl ShadowingProcess {
     }
 }
 
-/// A standard normal draw via Box-Muller (two uniforms; we discard the
-/// second value for simplicity — this code is not hot enough to matter).
-/// Evaluated through the `vmath` kernels so a single draw is
-/// bit-identical to the corresponding lane of a [`GaussianTile`] refill.
+/// A standard normal draw via Box-Muller (two uniforms; the second value
+/// is discarded). The slot loop draws its innovations through
+/// [`GaussianTile`]; this scalar draw serves the one-off initial states
+/// and the unbatched reference path. Evaluated through the `vmath`
+/// kernels so a single draw is bit-identical to the corresponding lane
+/// of a tile refill.
 pub(crate) fn gaussian(rng: &mut ChaCha12Rng) -> f64 {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
@@ -365,15 +371,35 @@ mod tests {
     #[test]
     fn tile_stream_matches_scalar_draws() {
         use rand::SeedableRng;
-        let mut rng_batched = ChaCha12Rng::seed_from_u64(77);
-        let mut rng_scalar = ChaCha12Rng::seed_from_u64(77);
-        let mut tile = GaussianTile::new();
-        for i in 0..(GAUSS_TILE * 5 + 3) {
-            assert_eq!(
-                tile.next_batched(&mut rng_batched).to_bits(),
-                gaussian(&mut rng_scalar).to_bits(),
-                "draw {i} diverged from the point-of-use scalar draw"
-            );
+        // `lead` scalar Gaussians go first. With none, every refill is
+        // block-aligned. With one (four keystream words), every refill
+        // starts mid-block, as in production: `ShadowingProcess::new` and
+        // `FadingProcess::new` draw their initial state that way.
+        for lead in [0, 1] {
+            let mut rng_batched = ChaCha12Rng::seed_from_u64(77 + lead);
+            let mut rng_scalar = ChaCha12Rng::seed_from_u64(77 + lead);
+            for _ in 0..lead {
+                assert_eq!(
+                    gaussian(&mut rng_batched).to_bits(),
+                    gaussian(&mut rng_scalar).to_bits()
+                );
+            }
+            let mut tile = GaussianTile::new();
+            let draws = GAUSS_TILE * 9 + 5;
+            for i in 0..draws {
+                assert_eq!(
+                    tile.next_batched(&mut rng_batched).to_bits(),
+                    gaussian(&mut rng_scalar).to_bits(),
+                    "lead {lead}: draw {i} diverged from the point-of-use scalar draw"
+                );
+            }
+            // Once the tile has handed out its prefetched draws, both
+            // generators stand at the same point of the stream.
+            for _ in draws % GAUSS_TILE..GAUSS_TILE {
+                let _ = tile.next_batched(&mut rng_batched);
+                let _ = gaussian(&mut rng_scalar);
+            }
+            assert!(rng_batched == rng_scalar, "lead {lead}: generators diverged");
         }
     }
 
