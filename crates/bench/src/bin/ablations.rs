@@ -19,11 +19,11 @@ use midband5g::radio_channel::mobility::MobilityModel;
 use midband5g::radio_channel::rng::SeedTree;
 use midband5g::ran::amc::OllaConfig;
 use midband5g::ran::carrier::{Carrier, TrafficPattern};
+use midband5g::ran::cell::{CellParams, CellSim, UeSpec};
 use midband5g::ran::config::CellConfig;
 use midband5g::ran::harq::HarqConfig;
 use midband5g::ran::kpi::{Direction, KpiTrace};
 use midband5g::ran::latency::{mean_total_ms, run_probes, LatencyProbeConfig};
-use midband5g::ran::multiuser::{MultiUeParticipant, MultiUeSim};
 use midband5g::ran::scheduler::SchedulerPolicy;
 use midband5g::video::{AbrKind, PlayerConfig, PlayerSim, QoeMetrics, QualityLadder};
 use midband5g_bench::RunArgs;
@@ -140,28 +140,16 @@ fn ablate_scheduler(seed: u64) {
         [SchedulerPolicy::EqualShare, SchedulerPolicy::RoundRobinSlots, SchedulerPolicy::ProportionalFair]
     {
         let profile = Operator::VerizonUs.profile();
-        let mk = |d: f64, i: u64| {
-            let seeds = SeedTree::new(seed).child_indexed("ue", i);
-            let pos = Position::new(d, 0.0);
-            let channel = ChannelSimulator::new(
-                profile.channel_config(&profile.carriers[0]),
-                DeploymentLayout::single_site(),
-                MobilityModel::Stationary { position: pos },
-                &seeds,
-            );
-            MultiUeParticipant {
-                carrier: Carrier::new(
-                    profile.carriers[0].cell.clone(),
-                    0,
-                    channel,
-                    profile.link_model(&profile.carriers[0]),
-                    &seeds,
-                ),
-                position: pos,
-                active: true,
-            }
+        let params = CellParams {
+            cell: profile.carriers[0].cell.clone(),
+            channel: profile.channel_config(&profile.carriers[0]),
+            layout: DeploymentLayout::single_site(),
+            link: profile.link_model(&profile.carriers[0]),
+            policy,
+            traffic: TrafficPattern::DL,
         };
-        let mut sim = MultiUeSim::new(vec![mk(45.0, 0), mk(117.0, 1)], policy);
+        let ues = [UeSpec::at(45.0, 0.0), UeSpec::at(117.0, 0.0)];
+        let mut sim = CellSim::new(params, &ues, &SeedTree::new(seed));
         let traces = sim.run(40_000);
         let a = traces[0].mean_throughput_mbps(Direction::Dl);
         let b = traces[1].mean_throughput_mbps(Direction::Dl);

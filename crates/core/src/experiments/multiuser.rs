@@ -1,9 +1,7 @@
 //! Figure 14: variability between users in the same cell — two locations
 //! (45 m / 117 m from the gNB), measured sequentially and simultaneously.
 //!
-//! Driven by the loaded-cell engine ([`ran::cell::CellSim`]); the legacy
-//! `ran::multiuser` driver remains only as the equivalence reference in
-//! `ran/tests/cell_props.rs`.
+//! Driven by the loaded-cell engine ([`ran::cell::CellSim`]).
 
 use analysis::variability::variability;
 use operators::Operator;

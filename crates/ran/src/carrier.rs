@@ -10,6 +10,7 @@ use crate::config::CellConfig;
 use crate::flow::Flow;
 use crate::harq::{HarqConfig, HarqEntity};
 use crate::kpi::{Direction, SlotKpi};
+use crate::leg::{self, SlotCounters, SlotCtx, UeLeg};
 use crate::queue::QueueConfig;
 use crate::scheduler::AllocationTable;
 use crate::traffic::TrafficSource;
@@ -17,12 +18,10 @@ use crate::workload::Workload;
 use nr_phy::csi::DEFAULT_CSI_PERIOD_SLOTS;
 use nr_phy::tbs::TbsCache;
 use obs::audit::{self, Invariant};
-use obs::LocalCounter;
 use radio_channel::channel::{ChannelSimulator, ChannelState};
 use radio_channel::geometry::Position;
 use radio_channel::link::LinkModel;
 use radio_channel::rng::SeedTree;
-use rand::Rng;
 use rand_chacha::ChaCha12Rng;
 
 /// Which directions carry saturating traffic.
@@ -68,64 +67,6 @@ const CARRIER_BLER_LABELS: [&str; 8] = [
     "carrier6/bler",
     "carrier7/bler",
 ];
-
-/// Slots a simulator steps between publishing its [`SlotCounters`]. A
-/// live counter value lags by fewer than this many slots per running
-/// simulator, and is exact once the simulator drops.
-pub(crate) const COUNTER_FLUSH_SLOTS: u64 = 4096;
-
-/// The `ran.*` slot counters, registered under the same names by the
-/// single-UE [`Carrier`] and the multi-UE
-/// [`CellSim`](crate::cell::CellSim), so obs totals aggregate across
-/// both engines. Counts batch per instance ([`LocalCounter`]) and
-/// publish every [`COUNTER_FLUSH_SLOTS`] slots and on drop: parallel
-/// sessions never share a counter cache line on the per-slot path, and
-/// `ran/tests/alloc_free.rs` holds with the counters compiled in.
-#[derive(Debug, Clone)]
-pub(crate) struct SlotCounters {
-    slots: LocalCounter,
-    retx: LocalCounter,
-    block_errors: LocalCounter,
-    delivered_bits: LocalCounter,
-}
-
-impl SlotCounters {
-    pub(crate) fn new() -> Self {
-        let reg = obs::registry();
-        SlotCounters {
-            slots: LocalCounter::new(reg.counter("ran.slots")),
-            retx: LocalCounter::new(reg.counter("ran.retx")),
-            block_errors: LocalCounter::new(reg.counter("ran.block_errors")),
-            delivered_bits: LocalCounter::new(reg.counter("ran.delivered_bits")),
-        }
-    }
-
-    /// Count `n` stepped UE-slots, publishing every counter once
-    /// [`COUNTER_FLUSH_SLOTS`] have accumulated.
-    #[inline]
-    pub(crate) fn count_slots(&mut self, n: u64) {
-        self.slots.add(n);
-        if self.slots.pending() >= COUNTER_FLUSH_SLOTS {
-            self.flush();
-        }
-    }
-
-    /// Count one transmitted transport block's outcome.
-    #[inline]
-    pub(crate) fn count_block(&mut self, is_retx: bool, failed: bool, delivered_bits: u32) {
-        self.retx.add(u64::from(is_retx));
-        self.block_errors.add(u64::from(failed));
-        self.delivered_bits.add(u64::from(delivered_bits));
-    }
-
-    #[cold]
-    fn flush(&mut self) {
-        self.slots.flush();
-        self.retx.flush();
-        self.block_errors.flush();
-        self.delivered_bits.flush();
-    }
-}
 
 /// One component carrier bound to one UE.
 #[derive(Debug, Clone)]
@@ -276,7 +217,7 @@ impl Carrier {
     /// * `ul_on_nr` gates the UL leg (false when NSA routing sent UL to
     ///   LTE this slot);
     /// * `dl_share`/`ul_share` are the fraction of the carrier granted to
-    ///   this UE (1.0 when alone; the multi-UE driver passes splits).
+    ///   this UE (1.0 when alone; less models a loaded cell).
     pub fn step(
         &mut self,
         position: Position,
@@ -304,232 +245,67 @@ impl Carrier {
         }
         let cqi = self.amc.csi().cqi.value();
         self.metrics.count_slots(1);
-        if audit::enabled() {
+        let auditing = audit::enabled();
+        if auditing {
             audit::check(Invariant::CqiRange, cqi <= 15);
         }
 
-        let dl = if traffic.dl && self.dl_flow.needs_grant(self.dl_harq.has_ready(slot)) {
-            self.dl_step(slot, time_s, cqi, &ch, dl_share)
-        } else {
-            SlotKpi::idle(
-                slot,
-                time_s,
-                self.index,
-                Direction::Dl,
-                cqi,
-                ch.sinr_db,
-                ch.measurement.rsrp_dbm,
-                ch.measurement.rsrq_db,
-                ch.serving_site,
-            )
+        let mut ctx = SlotCtx {
+            cfg: &self.cfg,
+            link: &self.link,
+            tbs_cache: &mut self.tbs_cache,
+            counters: &mut self.metrics,
+            carrier: self.index,
+            slot,
+            time_s,
+            auditing,
         };
+        let dl_alloc = if traffic.dl && self.dl_flow.needs_grant(self.dl_harq.has_ready(slot)) {
+            self.alloc_table.dl(ctx.cfg, slot, dl_share)
+        } else {
+            None
+        };
+        let dl = leg::transmit(
+            &mut ctx,
+            Direction::Dl,
+            dl_alloc,
+            UeLeg {
+                amc: &mut self.amc,
+                harq: &mut self.dl_harq,
+                flow: &mut self.dl_flow,
+                rng: &mut self.rng,
+            },
+            cqi,
+            &ch,
+        );
 
         let ul = if self.alloc_table.has_ul(slot) {
-            Some(if traffic.ul && ul_on_nr && self.ul_flow.needs_grant(self.ul_harq.has_ready(slot))
+            let ul_alloc = if traffic.ul
+                && ul_on_nr
+                && self.ul_flow.needs_grant(self.ul_harq.has_ready(slot))
             {
-                self.ul_step(slot, time_s, cqi, &ch, ul_share)
+                self.alloc_table.ul(ctx.cfg, slot, ul_share)
             } else {
-                SlotKpi::idle(
-                    slot,
-                    time_s,
-                    self.index,
-                    Direction::Ul,
-                    cqi,
-                    ch.sinr_db,
-                    ch.measurement.rsrp_dbm,
-                    ch.measurement.rsrq_db,
-                    ch.serving_site,
-                )
-            })
+                None
+            };
+            Some(leg::transmit(
+                &mut ctx,
+                Direction::Ul,
+                ul_alloc,
+                UeLeg {
+                    amc: &mut self.amc,
+                    harq: &mut self.ul_harq,
+                    flow: &mut self.ul_flow,
+                    rng: &mut self.rng,
+                },
+                cqi,
+                &ch,
+            ))
         } else {
             None
         };
 
         CarrierSlotOutput { dl, ul, channel: ch }
-    }
-
-    fn dl_step(
-        &mut self,
-        slot: u64,
-        time_s: f64,
-        cqi: u8,
-        ch: &ChannelState,
-        share: f64,
-    ) -> SlotKpi {
-        let alloc = self.alloc_table.dl(&self.cfg, slot, share);
-        // No DL symbols this slot, or the UE reported out-of-range (CQI 0):
-        // nothing is scheduled (a real gNB cannot close the link either).
-        let (Some(alloc), false) = (alloc, cqi == 0) else {
-            return SlotKpi::idle(
-                slot,
-                time_s,
-                self.index,
-                Direction::Dl,
-                cqi,
-                ch.sinr_db,
-                ch.measurement.rsrp_dbm,
-                ch.measurement.rsrq_db,
-                ch.serving_site,
-            );
-        };
-        let grant = self.amc.dl_grant(&self.cfg);
-        let table = grant.format.effective_mcs_table(self.cfg.mcs_table());
-        let modulation = table.modulation(grant.mcs).unwrap_or(nr_phy::mcs::Modulation::Qpsk);
-
-        // Retransmission takes priority over new data; fresh transport
-        // blocks are sized to the queued backlog (a rate-limited source
-        // produces smaller TBs than the allocation could carry).
-        let (tbs_bits, attempts, is_retx) = match self.dl_harq.pop_ready(slot) {
-            Some(tb) => {
-                self.dl_flow.begin_retx();
-                (tb.tbs_bits, tb.attempts + 1, true)
-            }
-            None => {
-                let full =
-                    self.tbs_cache.transport_block_size(&alloc, table, grant.mcs, grant.layers);
-                (self.dl_flow.compose_tb(full, time_s), 1, false)
-            }
-        };
-
-        let bonus = self.dl_harq.combining_bonus_db(attempts);
-        let p_err = self.link.bler(ch.sinr_db + bonus, table, grant.mcs);
-        let failed = self.rng.gen::<f64>() < p_err;
-        if failed {
-            if self.dl_harq.record_failure(tbs_bits, attempts, slot) {
-                self.dl_flow.fail_deferred();
-            } else {
-                self.dl_flow.fail_dropped(time_s, tbs_bits);
-            }
-        } else {
-            self.dl_flow.complete_delivered(time_s, tbs_bits);
-        }
-        self.amc.harq_feedback(!failed);
-
-        let delivered_bits = if failed { 0 } else { tbs_bits };
-        self.metrics.count_block(is_retx, failed, delivered_bits);
-        if audit::enabled() {
-            audit::check(Invariant::RbWithinCarrier, alloc.n_prb <= self.cfg.n_rb);
-            audit::check(
-                Invariant::HarqAttemptsWithinMax,
-                attempts <= self.dl_harq.config().max_attempts,
-            );
-            audit::check(Invariant::DeliveredWithinTbs, delivered_bits <= tbs_bits);
-        }
-
-        SlotKpi {
-            slot,
-            time_s,
-            carrier: self.index,
-            direction: Direction::Dl,
-            scheduled: true,
-            n_prb: alloc.n_prb,
-            n_re: alloc.total_re(),
-            mcs: grant.mcs.0,
-            modulation,
-            layers: grant.layers,
-            tbs_bits,
-            delivered_bits,
-            is_retx,
-            block_error: failed,
-            cqi,
-            sinr_db: ch.sinr_db,
-            rsrp_dbm: ch.measurement.rsrp_dbm,
-            rsrq_db: ch.measurement.rsrq_db,
-            serving_site: ch.serving_site,
-            queue_bits: self.dl_flow.queue_bits(),
-            queue_delay_ms: self.dl_flow.queue_delay_ms(),
-        }
-    }
-
-    fn ul_step(
-        &mut self,
-        slot: u64,
-        time_s: f64,
-        cqi: u8,
-        ch: &ChannelState,
-        share: f64,
-    ) -> SlotKpi {
-        let alloc = self.alloc_table.ul(&self.cfg, slot, share)
-            .expect("caller checked ul_symbols > 0");
-        if cqi == 0 {
-            return SlotKpi::idle(
-                slot,
-                time_s,
-                self.index,
-                Direction::Ul,
-                cqi,
-                ch.sinr_db,
-                ch.measurement.rsrp_dbm,
-                ch.measurement.rsrq_db,
-                ch.serving_site,
-            );
-        }
-        let grant = self.amc.ul_grant(&self.cfg);
-        let table = grant.format.effective_mcs_table(self.cfg.mcs_table());
-        let modulation = table.modulation(grant.mcs).unwrap_or(nr_phy::mcs::Modulation::Qpsk);
-
-        let (tbs_bits, attempts, is_retx) = match self.ul_harq.pop_ready(slot) {
-            Some(tb) => {
-                self.ul_flow.begin_retx();
-                (tb.tbs_bits, tb.attempts + 1, true)
-            }
-            None => {
-                let full =
-                    self.tbs_cache.transport_block_size(&alloc, table, grant.mcs, grant.layers);
-                (self.ul_flow.compose_tb(full, time_s), 1, false)
-            }
-        };
-
-        // UL runs several dB below DL at the same spot: the UE's power
-        // budget (23 dBm vs 44 dBm, partly offset by gNB receive gain).
-        const UL_SINR_PENALTY_DB: f64 = 6.0;
-        let bonus = self.ul_harq.combining_bonus_db(attempts);
-        let p_err = self.link.bler(ch.sinr_db - UL_SINR_PENALTY_DB + bonus, table, grant.mcs);
-        let failed = self.rng.gen::<f64>() < p_err;
-        if failed {
-            if self.ul_harq.record_failure(tbs_bits, attempts, slot) {
-                self.ul_flow.fail_deferred();
-            } else {
-                self.ul_flow.fail_dropped(time_s, tbs_bits);
-            }
-        } else {
-            self.ul_flow.complete_delivered(time_s, tbs_bits);
-        }
-
-        let delivered_bits = if failed { 0 } else { tbs_bits };
-        self.metrics.count_block(is_retx, failed, delivered_bits);
-        if audit::enabled() {
-            audit::check(Invariant::RbWithinCarrier, alloc.n_prb <= self.cfg.n_rb);
-            audit::check(
-                Invariant::HarqAttemptsWithinMax,
-                attempts <= self.ul_harq.config().max_attempts,
-            );
-            audit::check(Invariant::DeliveredWithinTbs, delivered_bits <= tbs_bits);
-        }
-
-        SlotKpi {
-            slot,
-            time_s,
-            carrier: self.index,
-            direction: Direction::Ul,
-            scheduled: true,
-            n_prb: alloc.n_prb,
-            n_re: alloc.total_re(),
-            mcs: grant.mcs.0,
-            modulation,
-            layers: grant.layers,
-            tbs_bits,
-            delivered_bits,
-            is_retx,
-            block_error: failed,
-            cqi,
-            sinr_db: ch.sinr_db,
-            rsrp_dbm: ch.measurement.rsrp_dbm,
-            rsrq_db: ch.measurement.rsrq_db,
-            serving_site: ch.serving_site,
-            queue_bits: self.ul_flow.queue_bits(),
-            queue_delay_ms: self.ul_flow.queue_delay_ms(),
-        }
     }
 }
 

@@ -26,9 +26,9 @@
 //! * [`cell`] — the loaded-cell engine: N UEs (1 → 10k+) contending for
 //!   one cell's RB budget under proportional-fair, round-robin, max-CQI
 //!   or equal-share scheduling, with structure-of-arrays state and
-//!   streaming per-UE sinks (the §5.2 / Fig. 14 mechanism at scale);
-//! * [`multiuser`] — the legacy small-N driver kept as the reference the
-//!   cell engine's equivalence tests pin against;
+//!   streaming per-UE sinks (the §5.2 / Fig. 14 mechanism at scale).
+//!   Both engines run one UE's DL/UL leg through the same transmit
+//!   kernel (AMC → TBS → HARQ → BLER draw → flow feedback);
 //! * [`latency`] — the slot-aligned PHY user-plane latency probe model of
 //!   §4.3 (TDD alignment + processing + HARQ);
 //! * [`rrc`] — RRC state promotion costs the paper's methodology controls
@@ -48,8 +48,8 @@ pub mod flow;
 pub mod harq;
 pub mod kpi;
 pub mod latency;
+mod leg;
 pub mod lte;
-pub mod multiuser;
 pub mod queue;
 pub mod rrc;
 pub mod scheduler;

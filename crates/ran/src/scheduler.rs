@@ -5,9 +5,9 @@
 //! single-UE scheduler is a full-allocation scheduler. Overheads are where
 //! real deployments differ from naive accounting: 1 PDCCH symbol, 2-symbol
 //! DM-RS (24 REs) and ~1 symbol's worth of CSI-RS/TRS overhead per PRB.
-//! With several UEs ([`crate::multiuser`]) the frequency domain is split
-//! per the configured policy, which is how Fig. 14's "RBs halve with two
-//! active users" arises.
+//! With several UEs ([`crate::cell::CellSim`]) the cell's RB budget is
+//! split into integer grants per the configured policy, which is how
+//! Fig. 14's "RBs halve with two active users" arises.
 
 use crate::config::CellConfig;
 use nr_phy::resource::RbAllocation;
@@ -88,17 +88,21 @@ pub fn ul_prb_budget(cfg: &CellConfig) -> u16 {
 /// split equally across `k` UEs: everyone gets `budget / k`, and the
 /// `budget % k` leftover PRBs rotate through the ranks with `slot` so no
 /// fixed subset is systematically favoured. The grants of one slot sum to
-/// exactly `min(budget, …)` — never more — which is the RB-conservation
-/// law `ran/tests/cell_props.rs` pins down. With `k > budget`, only the
-/// `budget` ranks nearest the rotation point get a (1-PRB) grant.
+/// exactly `budget` — never more — for any `k ≥ 1`, which is the
+/// RB-conservation law `ran/tests/cell_props.rs` pins down. With
+/// `k > budget`, only the `budget` ranks nearest the rotation point get a
+/// (1-PRB) grant.
 pub fn split_prbs(budget: u16, k: usize, rank: usize, slot: u64) -> u16 {
     if k == 0 {
         return 0;
     }
-    let base = budget / k as u16;
-    let rem = (budget % k as u16) as usize;
+    // In `usize`: a UE count past `u16::MAX` must not wrap the divisor.
+    // A grant never exceeds `budget`, so it narrows back losslessly.
+    let budget = usize::from(budget);
+    let base = budget / k;
+    let rem = budget % k;
     let rotated = (rank + (slot as usize % k)) % k;
-    base + u16::from(rotated < rem)
+    (base + usize::from(rotated < rem)) as u16
 }
 
 /// DL allocation for a UE holding `share` (0..=1] of the carrier in this
@@ -124,9 +128,9 @@ pub fn ul_allocation(cfg: &CellConfig, slot: u64, share: f64) -> Option<RbAlloca
 /// `pattern_len` slots (period 1 for FDD) — so a [`crate::carrier::Carrier`]
 /// computes one cycle up front and indexes per slot instead of re-deriving
 /// symbol counts and PRB rounding 2000 times a second. Lookups for a
-/// different share than the table was built for (the multi-UE drivers pass
-/// per-slot splits) fall through to the direct computation, which is
-/// allocation-free either way.
+/// different share than the table was built for (a carrier granted a
+/// fraction of a loaded cell) fall through to the direct computation,
+/// which is allocation-free either way.
 #[derive(Debug, Clone)]
 pub struct AllocationTable {
     period: u64,

@@ -7,9 +7,10 @@
 //! is how the paper's Table 3 mixed-numerology CA combos (Appendix 10.5)
 //! are simulated without fractional-slot bookkeeping.
 
-use crate::carrier::{Carrier, TrafficPattern, COUNTER_FLUSH_SLOTS};
+use crate::carrier::{Carrier, TrafficPattern};
 use crate::config::UplinkRouting;
 use crate::kpi::KpiTrace;
+use crate::leg::COUNTER_FLUSH_SLOTS;
 use crate::lte::LteAnchor;
 use crate::sink::SlotSink;
 use obs::audit::{self, Invariant};
