@@ -12,6 +12,7 @@
 //! A change that means to move output bits updates the table and says
 //! why in CHANGES.md. Any other change must leave it as it is.
 
+use midband5g::measure::loadsweep::CellLoadSweep;
 use midband5g::measure::session::{MobilityKind, SessionResult, SessionSpec};
 use midband5g::operators::Operator;
 use midband5g::radio_channel::channel::ChannelSimulator;
@@ -88,7 +89,8 @@ fn session_digest(spec: SessionSpec) -> (usize, u64) {
 }
 
 /// `(label, spec, records, digest)`: the three deployments of the
-/// benchmark's `session` round, T_Ge, and one driving session.
+/// benchmark's `session` round, T_Ge, one driving and two walking
+/// sessions.
 fn session_table() -> Vec<(&'static str, SessionSpec, usize, u64)> {
     vec![
         (
@@ -123,6 +125,24 @@ fn session_table() -> Vec<(&'static str, SessionSpec, usize, u64)> {
             },
             6080,
             0x86ee_3301_f556_621f,
+        ),
+        (
+            "V_Sp walking",
+            SessionSpec {
+                mobility: MobilityKind::Walking,
+                ..SessionSpec::stationary(Operator::VodafoneSpain, 0, SESSION_S, 18)
+            },
+            5600,
+            0xfbee_fc0b_92ee_6043,
+        ),
+        (
+            "T-Mobile walking",
+            SessionSpec {
+                mobility: MobilityKind::Walking,
+                ..SessionSpec::stationary(Operator::TMobileUs, 0, SESSION_S, 19)
+            },
+            21200,
+            0x0ab0_1f3e_117f_ae34,
         ),
     ]
 }
@@ -345,4 +365,23 @@ fn half_share_carrier_digest_is_unchanged() {
     carrier.dl_traffic_mut().take_delay_samples(&mut delays_ms);
     hash_workload(&mut h, &carrier.dl_traffic().workload_stats(), &delays_ms);
     assert_eq!((records, h.0), (5600, 0xd27e_86a0_cc8f_6615), "golden half-share digest moved: {:#018x}", h.0);
+}
+
+/// One point of the cell-load sweep, every field of it: 16 full-buffer
+/// UEs under proportional fair at 90 MHz, 2,000 slots, seeded as the
+/// sweep's fourth point.
+#[test]
+fn cell_load_point_digest_is_unchanged() {
+    let sweep = CellLoadSweep { slots: 2_000, ..CellLoadSweep::paper_default(20) };
+    let p = sweep.run_point(3, 16);
+    let mut h = Fnv::new();
+    h.word(p.ues as u64);
+    h.f64(p.cell_dl_mbps);
+    h.f64(p.mean_ue_dl_mbps);
+    h.f64(p.min_ue_dl_mbps);
+    h.f64(p.max_ue_dl_mbps);
+    h.f64(p.jain_fairness);
+    h.word(p.served_ues as u64);
+    h.f64(p.mean_prb_per_dl_slot);
+    assert_eq!(h.0, 0xabc8_9414_fd59_ad8c, "golden load-point digest moved: {:#018x} ({p:?})", h.0);
 }
