@@ -153,8 +153,9 @@ pub fn commit_file(path: &Path, contents: &[u8]) -> io::Result<()> {
         file.write_all(contents)?;
         file.sync_all()?;
     }
-    std::fs::rename(&tmp, path).inspect_err(|_| {
+    std::fs::rename(&tmp, path).map_err(|e| {
         let _ = std::fs::remove_file(&tmp);
+        e
     })?;
     if let Some(dir) = parent {
         sync_dir(dir)?;
@@ -477,8 +478,9 @@ impl Dataset {
             std::fs::write(staged.manifest_path(), json)?;
             Ok(manifest)
         })()
-        .inspect_err(|_| {
+        .map_err(|e| {
             let _ = std::fs::remove_dir_all(&staging);
+            e
         })?;
 
         // Swap the finished staging directory into place. An existing
@@ -492,8 +494,9 @@ impl Dataset {
             }
             std::fs::rename(&staging, &self.root)
         })()
-        .inspect_err(|_| {
+        .map_err(|e| {
             let _ = std::fs::remove_dir_all(&staging);
+            e
         });
         swap?;
         // Make the directory swap itself durable: the renames live in the

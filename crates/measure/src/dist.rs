@@ -317,13 +317,19 @@ fn generation(claims: &Path, key: &str) -> io::Result<u32> {
     Ok(n)
 }
 
+/// Create `path` only if nothing exists there (`O_CREAT | O_EXCL`): the
+/// open flags `File::create_new` uses, spelled out for the MSRV.
+fn create_new(path: &Path) -> io::Result<std::fs::File> {
+    std::fs::OpenOptions::new().read(true).write(true).create_new(true).open(path)
+}
+
 /// Claim a lease via `O_EXCL` creation. Exactly one of N racing
 /// claimants succeeds; everyone else gets `AlreadyExists`.
 fn create_new_lease(path: &Path, lease: &Lease) -> io::Result<()> {
     use std::io::Write as _;
     let json = serde_json::to_string(lease)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    let mut file = std::fs::File::create_new(path)?;
+    let mut file = create_new(path)?;
     file.write_all(json.as_bytes())?;
     file.sync_all()
 }
@@ -523,7 +529,7 @@ pub fn run_worker(dir: &Path, worker_id: &str, allow_hang: bool) -> io::Result<W
             // Chaos: tear checkpoint.json once, at first claim attempt.
             if gen == 0
                 && plan.torn_manifest
-                && std::fs::File::create_new(claims.join(format!("{key}.torn"))).is_ok()
+                && create_new(&claims.join(format!("{key}.torn"))).is_ok()
             {
                 // Deliberately non-atomic: this *is* the torn write.
                 let _ = std::fs::write(dir.join("checkpoint.json"), br#"{"entries": [{"name": "torn"#);

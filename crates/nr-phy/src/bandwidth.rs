@@ -45,7 +45,7 @@ impl ChannelBandwidth {
 
 impl std::fmt::Display for ChannelBandwidth {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.0.is_multiple_of(1000) {
+        if self.0 % 1000 == 0 {
             write!(f, "{} MHz", self.0 / 1000)
         } else {
             write!(f, "{} kHz", self.0)
@@ -95,7 +95,7 @@ pub fn max_transmission_bandwidth(
         bandwidth_khz: bw.khz(),
         scs_khz: numerology.scs_khz(),
     };
-    let mhz = if bw.khz().is_multiple_of(1000) { bw.mhz() } else { return Err(err()) };
+    let mhz = if bw.khz() % 1000 == 0 { bw.mhz() } else { return Err(err()) };
     match numerology {
         Numerology::Mu0 | Numerology::Mu1 => {
             let row = FR1_NRB.iter().find(|r| r.0 == mhz).ok_or_else(err)?;

@@ -111,12 +111,21 @@ pub fn mcs_sinr_threshold_db(table: McsTable, mcs: McsIndex) -> f64 {
     lut[t_i][mcs.0 as usize]
 }
 
+/// The exponent x of the [`bler`] logistic, `BLER = 1 / (1 + e^x)`: the
+/// SINR's distance above the MCS threshold in units of the slope (floored
+/// at 0.05 dB). A draw `u` fails exactly when `x < ln((1 − u) / u)`, which
+/// lets a caller decide against a precomputed logit instead of paying the
+/// `exp` per transport block; [`bler`] evaluates this same expression.
+#[inline]
+pub fn bler_exponent(sinr_db: f64, table: McsTable, mcs: McsIndex, slope_db: f64) -> f64 {
+    (sinr_db - mcs_sinr_threshold_db(table, mcs)) / slope_db.max(0.05)
+}
+
 /// Block error rate of an MCS at a given SINR: a logistic waterfall curve
 /// centred on [`mcs_sinr_threshold_db`] with slope `s` dB (LDPC waterfalls
 /// at mid-band block lengths are ≈ 1 dB wide).
 pub fn bler(sinr_db: f64, table: McsTable, mcs: McsIndex, slope_db: f64) -> f64 {
-    let thr = mcs_sinr_threshold_db(table, mcs);
-    1.0 / (1.0 + vmath::exp((sinr_db - thr) / slope_db.max(0.05)))
+    1.0 / (1.0 + vmath::exp(bler_exponent(sinr_db, table, mcs, slope_db)))
 }
 
 /// Rank-selection profile: SINR thresholds (dB) above which the UE reports
@@ -228,6 +237,12 @@ impl LinkModel {
     /// expected to have applied already if it models per-layer detection.
     pub fn bler(&self, sinr_db: f64, table: McsTable, mcs: McsIndex) -> f64 {
         bler(sinr_db, table, mcs, self.bler_slope_db)
+    }
+
+    /// The exponent of [`LinkModel::bler`]'s logistic ([`bler_exponent`]).
+    #[inline]
+    pub fn bler_exponent(&self, sinr_db: f64, table: McsTable, mcs: McsIndex) -> f64 {
+        bler_exponent(sinr_db, table, mcs, self.bler_slope_db)
     }
 }
 

@@ -60,8 +60,9 @@ impl SeedTree {
 /// Whether [`ChaCha12Rng::fill_u64`] may batch keystream blocks on AVX2:
 /// only when the `vmath` dispatch (picked once per process) runs its
 /// AVX2 arm, so `MIDBAND5G_SIMD` caps the keystream and the float
-/// kernels alike.
-pub(crate) fn keystream_avx2() -> bool {
+/// kernels alike. Callers outside this crate that refill their own
+/// tiles pass it too, so the cap holds for every stream.
+pub fn keystream_avx2() -> bool {
     vmath::active_arm() == vmath::Arm::Avx2
 }
 

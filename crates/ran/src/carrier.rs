@@ -10,7 +10,7 @@ use crate::config::CellConfig;
 use crate::flow::Flow;
 use crate::harq::{HarqConfig, HarqEntity};
 use crate::kpi::{Direction, SlotKpi};
-use crate::leg::{self, SlotCounters, SlotCtx, UeLeg};
+use crate::leg::{self, BlerDraws, SlotCounters, SlotCtx, UeLeg};
 use crate::queue::QueueConfig;
 use crate::scheduler::AllocationTable;
 use crate::traffic::TrafficSource;
@@ -22,7 +22,6 @@ use radio_channel::channel::{ChannelSimulator, ChannelState};
 use radio_channel::geometry::Position;
 use radio_channel::link::LinkModel;
 use radio_channel::rng::SeedTree;
-use rand_chacha::ChaCha12Rng;
 
 /// Which directions carry saturating traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,7 +82,7 @@ pub struct Carrier {
     ul_harq: HarqEntity,
     dl_flow: Flow,
     ul_flow: Flow,
-    rng: ChaCha12Rng,
+    bler_draws: BlerDraws,
     slot: u64,
     csi_period: u64,
     ewma_sinr_db: f64,
@@ -121,7 +120,7 @@ impl Carrier {
             ul_harq: HarqEntity::new(HarqConfig::default()),
             dl_flow: Flow::full_buffer(),
             ul_flow: Flow::full_buffer(),
-            rng,
+            bler_draws: BlerDraws::new(rng),
             slot: 0,
             csi_period: DEFAULT_CSI_PERIOD_SLOTS,
             ewma_sinr_db: 15.0,
@@ -238,7 +237,7 @@ impl Carrier {
         // UE side: smooth the SINR the way CQI filtering does, and report
         // CSI every period.
         self.ewma_sinr_db = 0.9 * self.ewma_sinr_db + 0.1 * ch.sinr_db;
-        if slot.is_multiple_of(self.csi_period) {
+        if slot % self.csi_period == 0 {
             let csi = AmcState::make_csi(&self.link, self.ewma_sinr_db, self.prev_rank);
             self.prev_rank = csi.ri;
             self.amc.update_csi(csi);
@@ -273,7 +272,7 @@ impl Carrier {
                 amc: &mut self.amc,
                 harq: &mut self.dl_harq,
                 flow: &mut self.dl_flow,
-                rng: &mut self.rng,
+                draws: &mut self.bler_draws,
             },
             cqi,
             &ch,
@@ -296,7 +295,7 @@ impl Carrier {
                     amc: &mut self.amc,
                     harq: &mut self.ul_harq,
                     flow: &mut self.ul_flow,
-                    rng: &mut self.rng,
+                    draws: &mut self.bler_draws,
                 },
                 cqi,
                 &ch,
@@ -443,6 +442,28 @@ mod tests {
         let a = run_dl(90, 100.0, 42, 5000);
         let b = run_dl(90, 100.0, 42, 5000);
         assert_eq!(a.mean_throughput_mbps(Direction::Dl), b.mean_throughput_mbps(Direction::Dl));
+    }
+
+    #[test]
+    fn cloned_carrier_continues_identically() {
+        // Cloned mid-tile: the copy carries the prefetched BLER draws and
+        // the generator behind them, so both replay the same records.
+        let (mut a, pos) = carrier(90, 350.0, 23);
+        for _ in 0..37 {
+            a.step(pos, 0.0, TrafficPattern::BOTH, true, 1.0, 1.0);
+        }
+        let mut b = a.clone();
+        let mut errors = 0;
+        for _ in 0..1_000 {
+            let (x, y) = (
+                a.step(pos, 0.0, TrafficPattern::BOTH, true, 1.0, 1.0),
+                b.step(pos, 0.0, TrafficPattern::BOTH, true, 1.0, 1.0),
+            );
+            assert_eq!(x.dl, y.dl);
+            assert_eq!(x.ul, y.ul);
+            errors += u32::from(x.dl.block_error);
+        }
+        assert!(errors > 0, "the run should exercise failed blocks");
     }
 
     #[test]

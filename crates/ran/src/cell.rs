@@ -44,7 +44,7 @@ use crate::config::CellConfig;
 use crate::flow::Flow;
 use crate::harq::{HarqConfig, HarqEntity};
 use crate::kpi::{Direction, KpiTrace, SlotKpi};
-use crate::leg::{self, SlotCounters, SlotCtx, UeLeg};
+use crate::leg::{self, BlerDraws, SlotCounters, SlotCtx, UeLeg};
 use crate::queue::QueueConfig;
 use crate::scheduler::{self, SchedulerPolicy};
 use crate::traffic::TrafficSource;
@@ -58,7 +58,6 @@ use radio_channel::geometry::{DeploymentLayout, Position};
 use radio_channel::link::LinkModel;
 use radio_channel::mobility::MobilityModel;
 use radio_channel::rng::SeedTree;
-use rand_chacha::ChaCha12Rng;
 
 /// Everything static about the cell a [`CellSim`] drives: the carrier
 /// configuration, the radio environment shared by every UE, and the
@@ -189,7 +188,7 @@ pub struct CellSim {
     ul_harq: Vec<HarqEntity>,
     dl_flows: Vec<Flow>,
     ul_flows: Vec<Flow>,
-    bler_rng: Vec<ChaCha12Rng>,
+    bler_draws: Vec<BlerDraws>,
     ewma_sinr_db: Vec<f64>,
     prev_rank: Vec<u8>,
     /// CQI the gNB holds for each UE (last reported; what scheduling
@@ -226,7 +225,7 @@ impl CellSim {
         let mut ul_harq = Vec::with_capacity(n);
         let mut dl_flows = Vec::with_capacity(n);
         let mut ul_flows = Vec::with_capacity(n);
-        let mut bler_rng = Vec::with_capacity(n);
+        let mut bler_draws = Vec::with_capacity(n);
         let mut spot_leader: Vec<u32> = Vec::with_capacity(n);
         for (i, ue) in ues.iter().enumerate() {
             let ue_seeds = seeds.child_indexed("ue", i as u64);
@@ -244,7 +243,7 @@ impl CellSim {
             dl_flows.push(Flow::full_buffer());
             ul_flows.push(Flow::full_buffer());
             // Matches Carrier index 0's stream label exactly.
-            bler_rng.push(ue_seeds.stream_static("carrier0/bler"));
+            bler_draws.push(BlerDraws::new(ue_seeds.stream_static("carrier0/bler")));
             let leader = positions[..i]
                 .iter()
                 .position(|&p| p == ue.position)
@@ -263,7 +262,7 @@ impl CellSim {
             ul_harq,
             dl_flows,
             ul_flows,
-            bler_rng,
+            bler_draws,
             ewma_sinr_db: vec![15.0; n],
             prev_rank: vec![2; n],
             // AmcState::new starts from a mid-range CQI 8 assumption.
@@ -364,7 +363,7 @@ impl CellSim {
         // chunk's transmit legs right after its channel sweep changes no
         // value, only cache behaviour — and records still leave in UE
         // index order, DL before UL, exactly as the module contract says.
-        let csi_slot = slot.is_multiple_of(self.csi_period);
+        let csi_slot = slot % self.csi_period == 0;
         let ul_capable = self.params.cell.ul_symbols(slot) > 0;
         let mut cqi_buf = [Cqi::saturating(0); UE_CHUNK];
         let mut ctx = SlotCtx {
@@ -442,7 +441,7 @@ impl CellSim {
                         amc: &mut self.amc[i],
                         harq: &mut self.dl_harq[i],
                         flow: &mut self.dl_flows[i],
-                        rng: &mut self.bler_rng[i],
+                        draws: &mut self.bler_draws[i],
                     },
                     cqi,
                     &ch,
@@ -465,7 +464,7 @@ impl CellSim {
                             amc: &mut self.amc[i],
                             harq: &mut self.ul_harq[i],
                             flow: &mut self.ul_flows[i],
-                            rng: &mut self.bler_rng[i],
+                            draws: &mut self.bler_draws[i],
                         },
                         cqi,
                         &ch,

@@ -177,7 +177,7 @@ impl UeSim {
         };
 
         for (i, carrier) in self.carriers.iter_mut().enumerate() {
-            if !tick.is_multiple_of(self.dividers[i]) {
+            if tick % self.dividers[i] != 0 {
                 continue;
             }
             let mv = std::mem::take(&mut self.pending_move[i]);
@@ -200,7 +200,7 @@ impl UeSim {
         }
 
         // LTE UL leg accrues whenever the UL is not on NR.
-        if self.config.traffic.ul && !ul_on_nr && tick.is_multiple_of(self.lte_divider) {
+        if self.config.traffic.ul && !ul_on_nr && tick % self.lte_divider == 0 {
             if let Some(lte) = &mut self.lte {
                 let mv = std::mem::take(&mut self.lte_pending_move);
                 let rec = lte.step_ul(position, mv);
