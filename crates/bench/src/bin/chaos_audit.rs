@@ -22,7 +22,7 @@
 
 use std::path::PathBuf;
 
-use midband5g::measure::campaign::{Campaign, CampaignOutcome};
+use midband5g::measure::campaign::{Campaign, CampaignOutcome, Plan, Traces};
 use midband5g::measure::executor::Executor;
 use midband5g::measure::fault::FaultConfig;
 use midband5g::measure::DEFAULT_RETRY_BUDGET;
@@ -39,6 +39,10 @@ const DEFAULT_OUT_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
 /// decode as garbage, a third of sessions panic at least once.
 const CHAOS: FaultConfig =
     FaultConfig { gap_rate: 0.5, abort_rate: 0.3, corrupt_rate: 0.02, panic_rate: 0.3 };
+
+fn chaos_plan(executor: Executor) -> Plan {
+    Plan { executor, faults: CHAOS, retry_budget: DEFAULT_RETRY_BUDGET }
+}
 
 fn encode(outcome: &CampaignOutcome) -> String {
     serde_json::to_string(outcome).expect("campaign outcomes serialise")
@@ -83,7 +87,7 @@ fn main() {
     for (i, operator) in operators.into_iter().enumerate() {
         let campaign =
             Campaign { operator, sessions, session_duration_s: duration_s, base_seed: 2024 + i as u64 };
-        let reference = campaign.run_resilient(Executor::sequential(), &CHAOS, DEFAULT_RETRY_BUDGET);
+        let reference = chaos_plan(Executor::sequential()).run(&campaign.specs(), &Traces);
         if !reference.is_complete() || reference.min_coverage() < 1.0 {
             any_fault_fired = true;
         }
@@ -95,9 +99,9 @@ fn main() {
         );
         let reference = encode(&reference);
         for threads in [2, 8] {
-            let parallel = campaign.run_resilient(Executor::new(threads), &CHAOS, DEFAULT_RETRY_BUDGET);
+            let parallel = chaos_plan(Executor::new(threads)).run(&campaign.specs(), &Traces);
             if encode(&parallel) != reference {
-                eprintln!("  DIVERGED {operator}: run_resilient({threads}) != sequential");
+                eprintln!("  DIVERGED {operator}: {threads}-thread run != sequential");
                 failed = true;
             }
         }
@@ -113,7 +117,10 @@ fn main() {
         session_duration_s: duration_s,
         base_seed: 77,
     };
-    let executor = Executor::new(4);
+    let plan = chaos_plan(Executor::new(4));
+    let checkpointed = |campaign: &Campaign, dir: &std::path::Path| {
+        plan.run_checkpointed(dir, &campaign.specs(), &campaign.checkpoint_description())
+    };
     let tmpdir = |tag: &str| {
         let dir = std::env::temp_dir().join(format!("chaos-audit-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -122,11 +129,10 @@ fn main() {
     let clean_dir = tmpdir("clean");
     let resume_dir = tmpdir("resume");
     let cycle = (|| -> std::io::Result<()> {
-        let uninterrupted =
-            full.run_checkpointed(&clean_dir, executor, &CHAOS, DEFAULT_RETRY_BUDGET)?;
+        let uninterrupted = checkpointed(&full, &clean_dir)?;
         let half = Campaign { sessions: sessions / 2, ..full };
-        half.run_checkpointed(&resume_dir, executor, &CHAOS, DEFAULT_RETRY_BUDGET)?;
-        let resumed = full.run_checkpointed(&resume_dir, executor, &CHAOS, DEFAULT_RETRY_BUDGET)?;
+        checkpointed(&half, &resume_dir)?;
+        let resumed = checkpointed(&full, &resume_dir)?;
         if encode(&resumed) != encode(&uninterrupted) {
             eprintln!("  DIVERGED checkpoint: resumed campaign != uninterrupted");
             failed = true;

@@ -11,6 +11,7 @@
 
 use midband5g::measure::campaign::Campaign;
 use midband5g::measure::dataset::Dataset;
+use midband5g::measure::executor::Executor;
 use midband5g::operators::Operator;
 use midband5g_bench::RunArgs;
 
@@ -28,7 +29,7 @@ fn main() {
             session_duration_s: args.duration_s,
             base_seed: args.seed + i as u64 * 1000,
         };
-        all.extend(campaign.run_auto());
+        all.extend(campaign.run_parallel(Executor::from_env().threads()));
         println!("  {op}: {} sessions", args.sessions);
     }
     let manifest = ds

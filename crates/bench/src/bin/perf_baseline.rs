@@ -14,7 +14,7 @@
 //! ```
 //!
 //! `--streaming` additionally runs the bounded-memory campaign path
-//! (`Campaign::run_streaming`) and records its peak retained records and
+//! (an `Aggregates` campaign run) and records its peak retained records and
 //! per-record byte footprint.
 //!
 //! `--cell-load` additionally measures the loaded-cell engine
@@ -30,7 +30,8 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use midband5g::measure::campaign::Campaign;
+use midband5g::measure::campaign::{Aggregates, Campaign, Plan};
+use midband5g::measure::executor::Executor;
 use midband5g::measure::session::{SessionResult, SessionSpec};
 use midband5g::operators::Operator;
 use midband5g::radio_channel::channel::{ChannelConfig, ChannelSimulator};
@@ -351,7 +352,9 @@ fn main() {
             ..Campaign::standard(Operator::VodafoneItaly, 31)
         };
         let start = Instant::now();
-        let aggregates = campaign.run_streaming(0.5);
+        let reducer = Aggregates { bin_s: 0.5 };
+        let plan = Plan::clean(Executor::from_env());
+        let aggregates = reducer.merge(&plan.run(&campaign.specs(), &reducer).results);
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
         // One materialised session gives the columnar footprint per record.
         let trace = SessionResult::run(campaign.specs()[0]).trace;

@@ -21,6 +21,7 @@ pub mod variability;
 pub mod video_qoe;
 
 use measure::campaign::Campaign;
+use measure::executor::Executor;
 use measure::session::SessionResult;
 use operators::Operator;
 use ran::kpi::{Direction, KpiTrace};
@@ -47,7 +48,8 @@ pub fn run_campaign(
 ) -> Vec<SessionResult> {
     let _span = obs::span("experiments.run_campaign");
     obs::registry().counter("experiments.campaigns").inc();
-    Campaign { operator, sessions, session_duration_s: duration_s, base_seed }.run_auto()
+    let threads = Executor::from_env().threads();
+    Campaign { operator, sessions, session_duration_s: duration_s, base_seed }.run_parallel(threads)
 }
 
 /// Pool per-second DL throughput samples across sessions — what each box

@@ -2,6 +2,7 @@
 //! tables, generated from the same profiles the simulator runs.
 
 use measure::campaign::{Campaign, CampaignTotals};
+use measure::executor::Executor;
 use operators::Operator;
 use serde::{Deserialize, Serialize};
 
@@ -88,7 +89,7 @@ pub fn table1(sessions_per_operator: u64, session_s: f64, seed: u64) -> Table1 {
             session_duration_s: session_s,
             base_seed: seed + i as u64 * 1000,
         };
-        for r in campaign.run_auto() {
+        for r in campaign.run_parallel(Executor::from_env().threads()) {
             totals.add(&r);
         }
         let p = op.profile();

@@ -60,14 +60,12 @@
 //! mid-wave SIGKILL.
 
 use crate::campaign::{
-    self, Campaign, CampaignOutcome, CheckpointEntry, SessionCoverage, SessionFailure,
-    write_final_manifests,
+    self, pretty, write_final_manifests, Campaign, CampaignOutcome, CheckpointEntry, Plan,
+    SessionCoverage, SessionFailure, Traces,
 };
 use crate::dataset::{commit_file, Dataset};
 use crate::executor::Executor;
-use crate::fault::{
-    run_session_with_faults, CheckpointFaultConfig, CheckpointFaultPlan, FaultConfig,
-};
+use crate::fault::{CheckpointFaultConfig, CheckpointFaultPlan, FaultConfig};
 use crate::session::{SessionResult, SessionSpec};
 use obs::audit::{self, Invariant};
 use serde::{Deserialize, Serialize};
@@ -114,6 +112,16 @@ impl DistJob {
         }
     }
 
+    /// The plan every participant runs its sessions under: the job's
+    /// faults and retry budget on `threads` executor threads.
+    fn plan(&self, threads: usize) -> Plan {
+        Plan {
+            executor: Executor::new(threads),
+            faults: self.faults,
+            retry_budget: self.retry_budget,
+        }
+    }
+
     /// Every spec in the job, campaign order, globally indexed.
     pub fn specs(&self) -> Vec<SessionSpec> {
         self.campaigns.iter().flat_map(|c| c.specs()).collect()
@@ -122,7 +130,7 @@ impl DistJob {
     /// The description written into the final `manifest.json`. A
     /// single-campaign job reuses [`Campaign::checkpoint_description`]
     /// verbatim, so its distributed run is byte-identical to
-    /// [`Campaign::run_checkpointed`] itself.
+    /// [`Plan::run_checkpointed`] over that campaign itself.
     pub fn description(&self) -> String {
         match self.campaigns.as_slice() {
             [c] => c.checkpoint_description(),
@@ -179,7 +187,7 @@ impl DistTiming {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DistConfig {
     /// Worker processes to spawn. `<= 1` degrades gracefully to the
-    /// single-process [`campaign::run_checkpointed_specs`] path.
+    /// single-process [`Plan::run_checkpointed`] path.
     pub workers: u32,
     /// Shared lease timing.
     pub timing: DistTiming,
@@ -501,7 +509,7 @@ pub fn run_worker(dir: &Path, worker_id: &str, allow_hang: bool) -> io::Result<W
 
     let heartbeat = Heartbeat::spawn(Duration::from_millis(timing.heartbeat_ms));
     let mut stale = StaleTracker::new(timing.ttl());
-    let executor = Executor::new(timing.worker_threads);
+    let plan = job.plan(timing.worker_threads);
     let wave_cap = timing.worker_threads.max(1) * 2;
     let hang_index: Option<usize> = if allow_hang {
         std::env::var(HANG_ENV).ok().and_then(|v| v.trim().parse().ok())
@@ -524,11 +532,11 @@ pub fn run_worker(dir: &Path, worker_id: &str, allow_hang: bool) -> io::Result<W
             }
             let lease = lease_path(&claims, key);
             let mut gen = generation(&claims, key)?;
-            let plan = CheckpointFaultPlan::for_spec(spec, &job.ckpt_faults);
+            let chaos = CheckpointFaultPlan::for_spec(spec, &job.ckpt_faults);
 
             // Chaos: tear checkpoint.json once, at first claim attempt.
             if gen == 0
-                && plan.torn_manifest
+                && chaos.torn_manifest
                 && create_new(&claims.join(format!("{key}.torn"))).is_ok()
             {
                 // Deliberately non-atomic: this *is* the torn write.
@@ -538,7 +546,7 @@ pub fn run_worker(dir: &Path, worker_id: &str, allow_hang: bool) -> io::Result<W
             }
             // Chaos: plant a ghost lease that will never beat, forcing
             // the expiry/takeover path for this spec.
-            if gen == 0 && plan.stale_lease && !lease.exists() {
+            if gen == 0 && chaos.stale_lease && !lease.exists() {
                 let ghost = Lease {
                     worker: "ghost".to_string(),
                     spec_hash: hashes[i],
@@ -649,60 +657,45 @@ pub fn run_worker(dir: &Path, worker_id: &str, allow_hang: bool) -> io::Result<W
             continue;
         }
 
-        // Run the wave. The committing attempt per spec is a pure
-        // function of its fault plan, so the persisted FaultStats — and
-        // therefore every checkpoint entry byte — match the
-        // single-process run exactly.
-        let wave_specs: Vec<SessionSpec> = claimed.iter().map(|&(i, _)| specs[i]).collect();
-        let outcome = executor.map_resilient(&wave_specs, job.retry_budget, |spec, attempt| {
-            run_session_with_faults(*spec, &job.faults, attempt)
-        });
-        for (&(i, gen), item) in claimed.iter().zip(outcome.outputs) {
+        // Run the wave through the same body as `Plan::run`. The
+        // committing attempt per spec is a pure function of its fault
+        // plan, so the persisted FaultStats — and therefore every
+        // checkpoint entry byte — match the single-process run exactly.
+        let wave: Vec<usize> = claimed.iter().map(|&(i, _)| i).collect();
+        let out = plan.run_wave(&specs, &wave, &Traces);
+        for (result, coverage) in out.results.iter().zip(out.coverage) {
+            let i = coverage.index as usize;
             let key = &keys[i];
             let lease = lease_path(&claims, key);
-            let plan = CheckpointFaultPlan::for_spec(&specs[i], &job.ckpt_faults);
-            match item {
-                Ok(run) => {
-                    let name = ds.write_session(i, &run.result)?;
-                    if gen == 0 && plan.truncate_session {
-                        // Chaos: tear our own commit in half and abandon
-                        // the lease — the next generation salvages it.
-                        let file = std::fs::OpenOptions::new()
-                            .write(true)
-                            .open(dir.join("sessions").join(&name))?;
-                        let len = file.metadata()?.len();
-                        file.set_len(len / 2)?;
-                        report.truncated_commits += 1;
-                        reg.counter("dist.truncated_commits").inc();
-                        let tomb = claims.join(format!("{key}.dead-{gen}-{worker_id}"));
-                        heartbeat.tombstone(hashes[i], &lease, &tomb);
-                        continue;
-                    }
-                    let entry = CheckpointEntry {
-                        name,
-                        index: i as u64,
-                        seed: specs[i].seed,
-                        spec_hash: hashes[i],
-                        records: run.result.trace.len() as u64,
-                        stats: run.stats,
-                    };
-                    commit_file(&marker_path(&done, key), pretty(&entry)?.as_bytes())?;
-                    report.committed += 1;
-                    reg.counter("dist.committed_sessions").inc();
-                }
-                Err(f) => {
-                    let failure = SessionFailure {
-                        index: i as u64,
-                        spec: specs[i],
-                        attempts: f.attempts,
-                        reason: f.error.to_string(),
-                    };
-                    commit_file(&marker_path(&failed, key), pretty(&failure)?.as_bytes())?;
-                    report.failed += 1;
-                }
+            let gen = claimed.iter().find(|&&(c, _)| c == i).map_or(0, |&(_, g)| g);
+            let chaos = CheckpointFaultPlan::for_spec(&specs[i], &job.ckpt_faults);
+            let entry = CheckpointEntry::write(&ds, result, coverage)?;
+            if gen == 0 && chaos.truncate_session {
+                // Chaos: tear our own commit in half and abandon the
+                // lease — the next generation salvages it.
+                let file = std::fs::OpenOptions::new()
+                    .write(true)
+                    .open(dir.join("sessions").join(&entry.name))?;
+                let len = file.metadata()?.len();
+                file.set_len(len / 2)?;
+                report.truncated_commits += 1;
+                reg.counter("dist.truncated_commits").inc();
+                let tomb = claims.join(format!("{key}.dead-{gen}-{worker_id}"));
+                heartbeat.tombstone(hashes[i], &lease, &tomb);
+                continue;
             }
+            commit_file(&marker_path(&done, key), pretty(&entry)?.as_bytes())?;
+            report.committed += 1;
+            reg.counter("dist.committed_sessions").inc();
             heartbeat.release(hashes[i]);
             let _ = std::fs::remove_file(&lease);
+        }
+        for failure in &out.failures {
+            let key = &keys[failure.index as usize];
+            commit_file(&marker_path(&failed, key), pretty(failure)?.as_bytes())?;
+            report.failed += 1;
+            heartbeat.release(hashes[failure.index as usize]);
+            let _ = std::fs::remove_file(lease_path(&claims, key));
         }
     }
 
@@ -723,18 +716,14 @@ fn unexpected_violations() -> u64 {
         .sum()
 }
 
-fn pretty<T: Serialize>(value: &T) -> io::Result<String> {
-    serde_json::to_string_pretty(value).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-}
-
 /// Run `job` in `dir` across `config.workers` local worker processes
 /// spawned by `spawn(dir, worker_id)`, supervising heartbeats and
 /// killing wedged children, then merge the finished directory into one
 /// loadable [`Dataset`] byte-identical to the single-process run.
 ///
 /// With `workers <= 1` this degrades gracefully to
-/// [`campaign::run_checkpointed_specs`] — same directory layout, same
-/// bytes, no scaffolding.
+/// [`Plan::run_checkpointed`] — same directory layout, same bytes, no
+/// scaffolding.
 pub fn run_distributed(
     dir: &Path,
     job: &DistJob,
@@ -757,13 +746,10 @@ pub fn run_distributed(
     }
 
     if config.workers <= 1 {
-        let outcome = campaign::run_checkpointed_specs(
+        let outcome = job.plan(config.timing.worker_threads).run_checkpointed(
             dir,
             &specs,
             &job.description(),
-            &Executor::new(config.timing.worker_threads),
-            &job.faults,
-            job.retry_budget,
         )?;
         let stats = DistStats { workers_spawned: 1, ..DistStats::default() };
         return Ok(DistOutcome { outcome, stats, reports: Vec::new() });
@@ -984,7 +970,7 @@ pub fn run_distributed(
 /// into sorted [`CheckpointEntry`]s, write the final manifests through
 /// the shared [`write_final_manifests`] writer, and strip every piece
 /// of coordination scaffolding so the directory tree is byte-identical
-/// to a single-process [`Campaign::run_checkpointed`] output.
+/// to a single-process [`Plan::run_checkpointed`] output.
 fn merge_finished(
     dir: &Path,
     job: &DistJob,
@@ -1193,8 +1179,9 @@ mod tests {
         let out = run_distributed(&dist_dir, &job, &config, &mut no_spawn).unwrap();
         assert_eq!(out.outcome.results.len(), 3);
         assert_eq!(out.stats.workers_spawned, 1);
-        let baseline = job.campaigns[0]
-            .run_checkpointed(&seq_dir, Executor::new(2), &job.faults, job.retry_budget)
+        let baseline = job
+            .plan(2)
+            .run_checkpointed(&seq_dir, &job.specs(), &job.campaigns[0].checkpoint_description())
             .unwrap();
         assert_eq!(out.outcome.results, baseline.results);
         assert_eq!(

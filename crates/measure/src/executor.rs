@@ -16,7 +16,6 @@
 //! `MIDBAND5G_THREADS` (0 or unset ⇒ all available cores), which the
 //! figure/`repro_all` binaries route through `experiments::run_campaign`.
 
-use crate::session::{SessionResult, SessionSpec};
 use obs::audit::{self, Invariant};
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -222,11 +221,6 @@ impl Executor {
             audit::violation(Invariant::ExecutorDelivery);
         }
         assembled
-    }
-
-    /// Run a batch of session specs, results in spec order.
-    pub fn run_sessions(&self, specs: &[SessionSpec]) -> Vec<SessionResult> {
-        self.map(specs, |spec| SessionResult::run(*spec))
     }
 
     /// [`Executor::map`] with panic isolation and bounded retries.

@@ -34,7 +34,7 @@
 
 use crate::session::{SessionResult, SessionSpec};
 use radio_channel::rng::SeedTree;
-use ran::kpi::{KpiTrace, SlotKpi};
+use ran::kpi::SlotKpi;
 use ran::sink::SlotSink;
 use rand::RngCore;
 use rand_chacha::ChaCha12Rng;
@@ -132,7 +132,7 @@ impl FaultPlan {
     /// 3 if `u < panic_rate` (usually beyond a small retry budget ⇒
     /// abandoned), 2 if `u < 0.5`, else 1. With a budget of ≥ 2 retries
     /// most panicking sessions therefore self-heal, and a deterministic
-    /// minority surfaces in `CampaignOutcome::failures`.
+    /// minority surfaces in `Outcome::failures`.
     pub fn for_spec(spec: &SessionSpec, config: &FaultConfig) -> FaultPlan {
         if config.is_quiet() {
             return FaultPlan::quiet();
@@ -377,37 +377,13 @@ impl<S: SlotSink> SlotSink for FaultInjector<'_, S> {
     }
 }
 
-/// One attempt at a session under a fault plan.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultSessionRun {
-    /// The (possibly gapped, aborted or corrupted) session result.
-    pub result: SessionResult,
-    /// What the injector did to the record stream.
-    pub stats: FaultStats,
-}
-
-/// Run one session attempt under `config`, materialising the surviving
-/// trace. Panics when the plan's [`PanicPlan`] covers `attempt` — callers
-/// go through [`crate::executor::Executor::map_resilient`], which catches
-/// and retries.
-pub fn run_session_with_faults(
-    spec: SessionSpec,
-    config: &FaultConfig,
-    attempt: u32,
-) -> FaultSessionRun {
-    let plan = FaultPlan::for_spec(&spec, config);
-    let mut trace = KpiTrace::new();
-    let stats = {
-        let mut injector = FaultInjector::new(&mut trace, &plan, attempt);
-        SessionResult::run_with_sink(spec, &mut injector);
-        injector.stats()
-    };
-    FaultSessionRun { result: SessionResult { spec, trace }, stats }
-}
-
-/// Run one session attempt under `config`, streaming survivors into
-/// `sink` (the bounded-memory path). Returns the injector's stats.
-pub fn run_session_with_faults_into<S: SlotSink>(
+/// Run one attempt at a session under `config`, streaming the surviving
+/// records into `sink`; returns what the injector did. Panics where the
+/// plan's [`PanicPlan`] covers `attempt` — [`crate::campaign::Plan`]
+/// runs every attempt through
+/// [`crate::executor::Executor::map_resilient`], which catches and
+/// retries.
+pub fn run_attempt<S: SlotSink>(
     spec: SessionSpec,
     config: &FaultConfig,
     attempt: u32,
@@ -423,10 +399,17 @@ pub fn run_session_with_faults_into<S: SlotSink>(
 mod tests {
     use super::*;
     use operators::Operator;
-    use ran::kpi::Direction;
+    use ran::kpi::{Direction, KpiTrace};
 
     fn spec(seed: u64) -> SessionSpec {
         SessionSpec::stationary(Operator::VodafoneSpain, 0, 1.0, seed)
+    }
+
+    /// One attempt at `spec(seed)`, materialising the surviving trace.
+    fn attempt(seed: u64, config: &FaultConfig, attempt: u32) -> (KpiTrace, FaultStats) {
+        let mut trace = KpiTrace::new();
+        let stats = run_attempt(spec(seed), config, attempt, &mut trace);
+        (trace, stats)
     }
 
     const CHAOS: FaultConfig =
@@ -511,50 +494,50 @@ mod tests {
     #[test]
     fn quiet_injection_is_a_no_op() {
         let healthy = SessionResult::run(spec(7));
-        let run = run_session_with_faults(spec(7), &FaultConfig::default(), 0);
-        assert_eq!(run.result, healthy);
-        assert_eq!(run.stats.seen, run.stats.forwarded);
-        assert_eq!(run.stats.coverage(), 1.0);
+        let (trace, stats) = attempt(7, &FaultConfig::default(), 0);
+        assert_eq!(trace, healthy.trace);
+        assert_eq!(stats.seen, stats.forwarded);
+        assert_eq!(stats.coverage(), 1.0);
     }
 
     #[test]
     fn gap_drops_a_contiguous_span() {
         let config = FaultConfig { gap_rate: 1.0, ..FaultConfig::default() };
         let healthy = SessionResult::run(spec(3));
-        let run = run_session_with_faults(spec(3), &config, 0);
-        assert!(run.stats.dropped_gap > 0, "gap_rate=1 must drop records");
-        assert_eq!(run.stats.forwarded as usize, run.result.trace.len());
-        assert!(run.result.trace.len() < healthy.trace.len());
+        let (trace, stats) = attempt(3, &config, 0);
+        assert!(stats.dropped_gap > 0, "gap_rate=1 must drop records");
+        assert_eq!(stats.forwarded as usize, trace.len());
+        assert!(trace.len() < healthy.trace.len());
         // The dropped records form one time span: no surviving record
         // falls inside the planned gap.
         let plan = FaultPlan::for_spec(&spec(3), &config);
         let (start, end) = plan.gap_s.expect("gap planned");
-        assert!(run.result.trace.iter().all(|r| r.time_s < start || r.time_s >= end));
+        assert!(trace.iter().all(|r| r.time_s < start || r.time_s >= end));
     }
 
     #[test]
     fn abort_truncates_the_trace() {
         let config = FaultConfig { abort_rate: 1.0, ..FaultConfig::default() };
-        let run = run_session_with_faults(spec(5), &config, 0);
+        let (trace, stats) = attempt(5, &config, 0);
         let plan = FaultPlan::for_spec(&spec(5), &config);
         let abort_s = plan.abort_s.expect("abort planned");
-        assert!(run.stats.dropped_abort > 0);
-        assert!(run.result.trace.iter().all(|r| r.time_s < abort_s));
-        assert!(run.stats.coverage() < 1.0);
+        assert!(stats.dropped_abort > 0);
+        assert!(trace.iter().all(|r| r.time_s < abort_s));
+        assert!(stats.coverage() < 1.0);
     }
 
     #[test]
     fn corruption_nans_measurement_fields_only() {
         let config = FaultConfig { corrupt_rate: 0.1, ..FaultConfig::default() };
         let healthy = SessionResult::run(spec(11));
-        let run = run_session_with_faults(spec(11), &config, 0);
-        assert!(run.stats.corrupted > 0, "10% corruption over a 1 s session must hit");
-        assert_eq!(run.result.trace.len(), healthy.trace.len(), "corruption never drops records");
-        let nan_records = run.result.trace.iter().filter(|r| r.sinr_db.is_nan()).count();
-        assert_eq!(nan_records as u64, run.stats.corrupted);
+        let (trace, stats) = attempt(11, &config, 0);
+        assert!(stats.corrupted > 0, "10% corruption over a 1 s session must hit");
+        assert_eq!(trace.len(), healthy.trace.len(), "corruption never drops records");
+        let nan_records = trace.iter().filter(|r| r.sinr_db.is_nan()).count();
+        assert_eq!(nan_records as u64, stats.corrupted);
         // Payload fields are untouched: throughput is unchanged.
         assert_eq!(
-            run.result.trace.mean_throughput_mbps(Direction::Dl),
+            trace.mean_throughput_mbps(Direction::Dl),
             healthy.trace.mean_throughput_mbps(Direction::Dl)
         );
     }
@@ -564,19 +547,19 @@ mod tests {
         let config = FaultConfig { panic_rate: 1.0, ..FaultConfig::default() };
         let plan = FaultPlan::for_spec(&spec(2), &config);
         let p = plan.panic.expect("panic planned");
-        let panicked = std::panic::catch_unwind(|| run_session_with_faults(spec(2), &config, 0));
+        let panicked = std::panic::catch_unwind(|| attempt(2, &config, 0));
         assert!(panicked.is_err(), "attempt 0 must panic");
         // The attempt past the planned count completes.
-        let healed = run_session_with_faults(spec(2), &config, p.attempts);
-        assert!(!healed.result.trace.is_empty());
+        let (healed, _) = attempt(2, &config, p.attempts);
+        assert!(!healed.is_empty());
     }
 
     #[test]
     fn injected_panics_are_deterministic_across_attempt_replays() {
         let config = FaultConfig { panic_rate: 1.0, ..FaultConfig::default() };
-        let a = std::panic::catch_unwind(|| run_session_with_faults(spec(2), &config, 0))
+        let a = std::panic::catch_unwind(|| attempt(2, &config, 0))
             .expect_err("attempt 0 panics");
-        let b = std::panic::catch_unwind(|| run_session_with_faults(spec(2), &config, 0))
+        let b = std::panic::catch_unwind(|| attempt(2, &config, 0))
             .expect_err("replay panics identically");
         let msg = |p: Box<dyn std::any::Any + Send>| {
             p.downcast_ref::<String>().cloned().unwrap_or_default()

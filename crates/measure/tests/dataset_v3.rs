@@ -6,7 +6,7 @@
 //! are judged by re-encoding the loaded session: equal bytes mean every
 //! field and every float bit pattern came back.
 
-use measure::campaign::{Campaign, CheckpointManifest, DEFAULT_RETRY_BUDGET};
+use measure::campaign::{Campaign, CampaignOutcome, CheckpointManifest, Plan, DEFAULT_RETRY_BUDGET};
 use measure::dataset::{decode_session, encode_session, Dataset, DecodeError, LoadError};
 use measure::executor::Executor;
 use measure::fault::FaultConfig;
@@ -14,6 +14,18 @@ use measure::session::{SessionResult, SessionSpec};
 use operators::Operator;
 use ran::kpi::{KpiTrace, SlotKpi};
 use std::path::{Path, PathBuf};
+
+/// A checkpointed run of `campaign` into `dir` with the default retry
+/// budget.
+fn run_checkpointed(
+    campaign: &Campaign,
+    dir: &Path,
+    executor: Executor,
+    faults: &FaultConfig,
+) -> std::io::Result<CampaignOutcome> {
+    let plan = Plan { executor, faults: *faults, retry_budget: DEFAULT_RETRY_BUDGET };
+    plan.run_checkpointed(dir, &campaign.specs(), &campaign.checkpoint_description())
+}
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("midband5g-v3-{tag}-{}", std::process::id()));
@@ -104,9 +116,7 @@ fn fault_corrupted_checkpointed_sessions_reload_bit_identically() {
         corrupt_rate: 0.2,
         ..FaultConfig::default()
     };
-    let outcome = campaign
-        .run_checkpointed(&dir, Executor::new(2), &faults, DEFAULT_RETRY_BUDGET)
-        .unwrap();
+    let outcome = run_checkpointed(&campaign, &dir, Executor::new(2), &faults).unwrap();
     assert!(
         outcome
             .results
@@ -157,18 +167,14 @@ fn v2_json_checkpoint_resumes_without_rerunning() {
         base_seed: 300,
     };
     let faults = FaultConfig::default();
-    let first = campaign
-        .run_checkpointed(&dir, Executor::sequential(), &faults, DEFAULT_RETRY_BUDGET)
-        .unwrap();
+    let first = run_checkpointed(&campaign, &dir, Executor::sequential(), &faults).unwrap();
     downgrade_to_v2(&dir);
     let json_before: Vec<Vec<u8>> = sorted_sessions(&dir)
         .iter()
         .map(|p| std::fs::read(p).unwrap())
         .collect();
 
-    let resumed = campaign
-        .run_checkpointed(&dir, Executor::sequential(), &faults, DEFAULT_RETRY_BUDGET)
-        .unwrap();
+    let resumed = run_checkpointed(&campaign, &dir, Executor::sequential(), &faults).unwrap();
     // Nothing re-ran: a re-run session would have been committed as a
     // fresh `.kpi` file next to the JSON ones.
     let after = sorted_sessions(&dir);
@@ -216,9 +222,7 @@ fn halved_v3_commit_is_rejected_with_a_typed_error_and_rerun() {
         base_seed: 90,
     };
     let faults = FaultConfig::default();
-    campaign
-        .run_checkpointed(&dir, Executor::sequential(), &faults, DEFAULT_RETRY_BUDGET)
-        .unwrap();
+    run_checkpointed(&campaign, &dir, Executor::sequential(), &faults).unwrap();
     let ds = Dataset::at(&dir);
     let names = ds.manifest().unwrap().sessions;
     let torn = dir.join("sessions").join(&names[1]);
@@ -247,9 +251,7 @@ fn halved_v3_commit_is_rejected_with_a_typed_error_and_rerun() {
 
     // Resume never trusts the torn file: it re-runs the session and
     // commits the same bytes again.
-    campaign
-        .run_checkpointed(&dir, Executor::sequential(), &faults, DEFAULT_RETRY_BUDGET)
-        .unwrap();
+    run_checkpointed(&campaign, &dir, Executor::sequential(), &faults).unwrap();
     assert_eq!(std::fs::read(&torn).unwrap(), intact);
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -7,7 +7,7 @@
 //! the healthy campaign exactly, and a checkpointed campaign that is
 //! killed and resumed matches an uninterrupted one byte for byte.
 
-use midband5g::measure::campaign::{Campaign, CampaignOutcome};
+use midband5g::measure::campaign::{Aggregates, Campaign, CampaignOutcome, Plan, Traces};
 use midband5g::measure::executor::Executor;
 use midband5g::measure::fault::{FaultConfig, FaultPlan};
 use midband5g::measure::session::SessionSpec;
@@ -31,6 +31,22 @@ fn small_campaign(operator: Operator) -> Campaign {
     Campaign { operator, sessions: 5, session_duration_s: 1.0, base_seed: 2024 }
 }
 
+/// A plan with the default retry budget.
+fn plan(executor: Executor, faults: FaultConfig) -> Plan {
+    Plan { executor, faults, retry_budget: DEFAULT_RETRY_BUDGET }
+}
+
+/// A checkpointed run of `campaign` into `dir`.
+fn run_checkpointed(
+    campaign: &Campaign,
+    dir: &std::path::Path,
+    executor: Executor,
+    faults: FaultConfig,
+) -> std::io::Result<CampaignOutcome> {
+    let description = campaign.checkpoint_description();
+    plan(executor, faults).run_checkpointed(dir, &campaign.specs(), &description)
+}
+
 fn encode(outcome: &CampaignOutcome) -> String {
     serde_json::to_string(outcome).expect("campaign outcomes serialise")
 }
@@ -46,8 +62,7 @@ fn chaotic_campaign_is_byte_identical_across_thread_counts() {
     let mut any_fault_fired = false;
     for operator in OPERATORS {
         let campaign = small_campaign(operator);
-        let reference =
-            campaign.run_resilient(Executor::sequential(), &CHAOS, DEFAULT_RETRY_BUDGET);
+        let reference = plan(Executor::sequential(), CHAOS).run(&campaign.specs(), &Traces);
         // The accounting always partitions the campaign.
         assert_eq!(
             reference.results.len() + reference.failures.len(),
@@ -60,12 +75,11 @@ fn chaotic_campaign_is_byte_identical_across_thread_counts() {
         }
         let reference = encode(&reference);
         for threads in [2, 8] {
-            let parallel =
-                campaign.run_resilient(Executor::new(threads), &CHAOS, DEFAULT_RETRY_BUDGET);
+            let parallel = plan(Executor::new(threads), CHAOS).run(&campaign.specs(), &Traces);
             assert_eq!(
                 reference,
                 encode(&parallel),
-                "{operator}: run_resilient({threads}) diverged from sequential"
+                "{operator}: resilient run on {threads} threads diverged from sequential"
             );
         }
     }
@@ -80,11 +94,8 @@ fn quiet_faults_reproduce_the_healthy_campaign_exactly() {
         let campaign = small_campaign(operator);
         let healthy = campaign.run();
         for threads in [1, 4] {
-            let outcome = campaign.run_resilient(
-                Executor::new(threads),
-                &FaultConfig::default(),
-                DEFAULT_RETRY_BUDGET,
-            );
+            let quiet = plan(Executor::new(threads), FaultConfig::default());
+            let outcome = quiet.run(&campaign.specs(), &Traces);
             assert!(outcome.is_complete());
             assert_eq!(outcome.survival_rate(), 1.0);
             assert_eq!(outcome.min_coverage(), 1.0);
@@ -99,13 +110,10 @@ fn streaming_resilient_is_byte_identical_across_thread_counts() {
     for operator in OPERATORS {
         let campaign = small_campaign(operator);
         let describe = |threads: usize| {
-            let out = campaign.run_streaming_resilient(
-                Executor::new(threads),
-                bin_s,
-                &CHAOS,
-                DEFAULT_RETRY_BUDGET,
-            );
-            let agg = serde_json::to_string(&out.aggregates).expect("aggregates serialise");
+            let reducer = Aggregates { bin_s };
+            let out = plan(Executor::new(threads), CHAOS).run(&campaign.specs(), &reducer);
+            let agg = serde_json::to_string(&reducer.merge(&out.results))
+                .expect("aggregates serialise");
             let failures = serde_json::to_string(&out.failures).expect("failures serialise");
             let coverage = serde_json::to_string(&out.coverage).expect("coverage serialises");
             format!("{agg}|{failures}|{coverage}")
@@ -115,7 +123,7 @@ fn streaming_resilient_is_byte_identical_across_thread_counts() {
             assert_eq!(
                 reference,
                 describe(threads),
-                "{operator}: run_streaming_resilient({threads}) diverged"
+                "{operator}: streaming resilient run on {threads} threads diverged"
             );
         }
     }
@@ -127,19 +135,15 @@ fn streaming_resilient_is_byte_identical_across_thread_counts() {
 fn streaming_coverage_reflects_injected_gaps() {
     let campaign = small_campaign(Operator::TelekomGermany);
     let gaps = FaultConfig { gap_rate: 1.0, ..FaultConfig::default() };
-    let out = campaign.run_streaming_resilient(
-        Executor::new(2),
-        0.25,
-        &gaps,
-        DEFAULT_RETRY_BUDGET,
-    );
+    let reducer = Aggregates { bin_s: 0.25 };
+    let out = plan(Executor::new(2), gaps).run(&campaign.specs(), &reducer);
     assert!(out.failures.is_empty(), "gaps alone never abandon a session");
     assert!(
         out.coverage.iter().any(|c| c.fraction() < 1.0),
         "gap_rate=1 must cost some session coverage"
     );
     assert!(
-        out.aggregates.min_bin_coverage() < 1.0,
+        reducer.merge(&out.results).min_bin_coverage() < 1.0,
         "the merged aggregates must expose under-populated bins"
     );
 }
@@ -152,8 +156,7 @@ fn checkpoint_resume_is_byte_identical_to_uninterrupted() {
 
     // Uninterrupted reference.
     let clean_dir = tmpdir("clean");
-    let uninterrupted = full
-        .run_checkpointed(&clean_dir, executor, &CHAOS, DEFAULT_RETRY_BUDGET)
+    let uninterrupted = run_checkpointed(&full, &clean_dir, executor, CHAOS)
         .expect("uninterrupted checkpointed run");
 
     // Simulated kill after 3 sessions: campaign specs are prefix-stable
@@ -162,11 +165,8 @@ fn checkpoint_resume_is_byte_identical_to_uninterrupted() {
     // exactly the state a killed full campaign would have.
     let resume_dir = tmpdir("resume");
     let half = Campaign { sessions: 3, ..full };
-    half.run_checkpointed(&resume_dir, executor, &CHAOS, DEFAULT_RETRY_BUDGET)
-        .expect("interrupted prefix run");
-    let resumed = full
-        .run_checkpointed(&resume_dir, executor, &CHAOS, DEFAULT_RETRY_BUDGET)
-        .expect("resumed run");
+    run_checkpointed(&half, &resume_dir, executor, CHAOS).expect("interrupted prefix run");
+    let resumed = run_checkpointed(&full, &resume_dir, executor, CHAOS).expect("resumed run");
     assert_eq!(
         encode(&uninterrupted),
         encode(&resumed),
@@ -175,9 +175,7 @@ fn checkpoint_resume_is_byte_identical_to_uninterrupted() {
 
     // A second resume over the finished directory is all cache hits and
     // still byte-identical.
-    let replayed = full
-        .run_checkpointed(&resume_dir, executor, &CHAOS, DEFAULT_RETRY_BUDGET)
-        .expect("replayed run");
+    let replayed = run_checkpointed(&full, &resume_dir, executor, CHAOS).expect("replayed run");
     assert_eq!(encode(&uninterrupted), encode(&replayed));
 
     // The finished checkpoint directory doubles as a loadable dataset
@@ -208,12 +206,9 @@ fn checkpoint_rejects_entries_from_a_different_campaign() {
     let executor = Executor::new(2);
     let dir = tmpdir("reject");
     let other = Campaign { operator, sessions: 4, session_duration_s: 1.0, base_seed: 1 };
-    other
-        .run_checkpointed(&dir, executor, &FaultConfig::default(), DEFAULT_RETRY_BUDGET)
-        .expect("other campaign");
+    run_checkpointed(&other, &dir, executor, FaultConfig::default()).expect("other campaign");
     let campaign = Campaign { operator, sessions: 4, session_duration_s: 1.0, base_seed: 999 };
-    let outcome = campaign
-        .run_checkpointed(&dir, executor, &FaultConfig::default(), DEFAULT_RETRY_BUDGET)
+    let outcome = run_checkpointed(&campaign, &dir, executor, FaultConfig::default())
         .expect("rerun over stale checkpoint");
     let reference = campaign.run();
     assert_eq!(outcome.results, reference, "stale checkpoint entries leaked into the outcome");

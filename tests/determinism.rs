@@ -7,7 +7,7 @@
 //! ever changing a published number.
 
 use midband5g::analysis::OnlineAggregates;
-use midband5g::measure::campaign::Campaign;
+use midband5g::measure::campaign::{Aggregates, Campaign, Plan};
 use midband5g::measure::executor::{Executor, THREADS_ENV};
 use midband5g::measure::session::{SessionResult, SessionSpec};
 use midband5g::operators::Operator;
@@ -63,29 +63,29 @@ fn executor_map_is_deterministic_across_thread_counts() {
     let specs: Vec<SessionSpec> = (0..6)
         .map(|i| SessionSpec::stationary(Operator::OrangeFrance, i, 0.5, 900 + i as u64))
         .collect();
-    let reference = Executor::sequential().run_sessions(&specs);
+    let reference = Executor::sequential().map(&specs, |spec| SessionResult::run(*spec));
     for threads in [2, 3, 8] {
-        let parallel = Executor::new(threads).run_sessions(&specs);
+        let parallel = Executor::new(threads).map(&specs, |spec| SessionResult::run(*spec));
         assert_eq!(reference, parallel, "{threads}-thread run diverged");
     }
 }
 
 #[test]
 fn env_thread_count_does_not_change_results() {
-    // `run_auto` reads MIDBAND5G_THREADS; whatever the environment says,
-    // the output must match the sequential reference.
+    // `Executor::from_env` reads MIDBAND5G_THREADS; whatever the
+    // environment says, the output must match the sequential reference.
     let campaign = small_campaign(Operator::TMobileUs);
     let reference = encode(&campaign.run());
     for value in ["1", "4"] {
         std::env::set_var(THREADS_ENV, value);
-        let auto = encode(&campaign.run_auto());
+        let auto = encode(&campaign.run_parallel(Executor::from_env().threads()));
         assert_eq!(reference, auto, "{THREADS_ENV}={value} changed the output");
     }
     std::env::remove_var(THREADS_ENV);
 }
 
 /// The bounded-memory streaming path obeys the same contract as the
-/// trace-materialising one: `run_streaming` is byte-identical across
+/// trace-materialising one: an [`Aggregates`] run is byte-identical across
 /// thread counts AND to folding the stored `run()` traces through
 /// [`OnlineAggregates`] per session, merged in spec order.
 #[test]
@@ -109,11 +109,13 @@ fn streaming_campaign_is_byte_identical_across_thread_counts() {
         let reference = serde_json::to_string(&reference).expect("aggregates serialise");
 
         for threads in [1, 2, 8] {
-            let streamed = campaign.run_streaming_on(Executor::new(threads), bin_s);
+            let reducer = Aggregates { bin_s };
+            let plan = Plan::clean(Executor::new(threads));
+            let streamed = reducer.merge(&plan.run(&campaign.specs(), &reducer).results);
             let streamed = serde_json::to_string(&streamed).expect("aggregates serialise");
             assert_eq!(
                 reference, streamed,
-                "{operator}: run_streaming_on({threads}) diverged from post-hoc fold"
+                "{operator}: Aggregates run on {threads} threads diverged from post-hoc fold"
             );
         }
     }

@@ -8,10 +8,11 @@
 //! daemon ingests for hours. ISSUE 8 satellite regression.
 
 use midband5g::analysis::timeseries::{bin_average, bin_counts, bin_sum};
-use midband5g::measure::fault::{run_session_with_faults, FaultConfig};
+use midband5g::measure::fault::{run_attempt, FaultConfig};
 use midband5g::measure::session::SessionSpec;
 use midband5g::obs;
 use midband5g::prelude::Operator;
+use midband5g::ran::kpi::KpiTrace;
 
 #[test]
 fn fault_corrupted_trace_resamples_to_finite_series() {
@@ -19,11 +20,11 @@ fn fault_corrupted_trace_resamples_to_finite_series() {
     // statistically guaranteed to contain at least one NaN sample.
     let faults = FaultConfig { corrupt_rate: 0.3, ..FaultConfig::default() };
     let spec = SessionSpec::stationary(Operator::VodafoneSpain, 0, 2.0, 4242);
-    let run = run_session_with_faults(spec, &faults, 0);
-    assert!(run.stats.corrupted > 0, "corruption should have fired at this rate");
+    let mut trace = KpiTrace::new();
+    let stats = run_attempt(spec, &faults, 0, &mut trace);
+    assert!(stats.corrupted > 0, "corruption should have fired at this rate");
 
-    let samples: Vec<(f64, f64)> =
-        run.result.trace.iter().map(|r| (r.time_s, r.sinr_db)).collect();
+    let samples: Vec<(f64, f64)> = trace.iter().map(|r| (r.time_s, r.sinr_db)).collect();
     let n_nan = samples.iter().filter(|(_, v)| !v.is_finite()).count() as u64;
     assert!(n_nan > 0, "corrupted records must carry NaN sinr_db");
 
