@@ -32,7 +32,7 @@ use crate::session::{SessionResult, SessionSpec};
 use ran::kpi::{ColumnError, KpiTrace, CHUNK_RECORDS};
 use serde::{Deserialize, Serialize};
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::{Component, Path, PathBuf};
 
 /// Manifest of an exported dataset.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -539,8 +539,19 @@ impl Dataset {
     }
 
     /// Read one session file's bytes, counting them under
-    /// `dataset.bytes_read`.
+    /// `dataset.bytes_read`. Names come from untrusted files
+    /// (`manifest.json`, `checkpoint.json`, `done/` markers), so anything
+    /// but a single plain file name — an absolute path, `..`, a
+    /// subdirectory — is refused as [`io::ErrorKind::InvalidData`]
+    /// instead of read from outside `sessions/`.
     fn read_session_bytes(&self, name: &str) -> io::Result<Vec<u8>> {
+        let mut parts = Path::new(name).components();
+        if !matches!((parts.next(), parts.next()), (Some(Component::Normal(_)), None)) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("session name {name:?} is not a plain file name"),
+            ));
+        }
         let bytes = std::fs::read(self.sessions_dir().join(name))?;
         obs::registry().counter("dataset.bytes_read").add(bytes.len() as u64);
         Ok(bytes)

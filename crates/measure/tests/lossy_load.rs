@@ -7,7 +7,7 @@
 //! both wholesale; `load_all_lossy` salvages every healthy session and
 //! names each loss with a typed [`LoadError`].
 
-use measure::dataset::{Dataset, LoadError, DATASET_VERSION};
+use measure::dataset::{Dataset, DatasetManifest, LoadError, DATASET_VERSION};
 use std::path::PathBuf;
 
 fn fixture(name: &str) -> Dataset {
@@ -89,4 +89,47 @@ fn load_errors_display_their_cause() {
     assert!(rendered[1].contains("002_never_flushed_seed3.json"));
     let (_, errors) = fixture("future_dataset").load_all_lossy();
     assert!(errors[0].to_string().contains("99"));
+}
+
+/// Manifest names are untrusted: a name that climbs out of `sessions/`,
+/// an absolute path or a nested path is refused as malformed, even when
+/// it points at a perfectly good session file.
+#[test]
+fn out_of_tree_session_names_are_refused() {
+    let root =
+        std::env::temp_dir().join(format!("midband5g-lossy-escape-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let healthy = fixture("v3_dataset");
+    let manifest = healthy.manifest().unwrap();
+    let ds = Dataset::at(&root);
+    let record = &healthy.load_all().unwrap()[0];
+    let result = measure::SessionResult { spec: record.spec, trace: record.trace.clone() };
+    ds.export("escape", std::slice::from_ref(&result)).unwrap();
+    let plain = ds.manifest().unwrap().sessions[0].clone();
+    let outside = root.join("outside.kpi");
+    std::fs::copy(root.join("sessions").join(&plain), &outside).unwrap();
+
+    let forged = [
+        "../outside.kpi".to_string(),
+        outside.to_string_lossy().into_owned(),
+        format!("../sessions/{plain}"),
+    ];
+    let mut names = vec![plain];
+    names.extend(forged.iter().cloned());
+    let rewritten = DatasetManifest { sessions: names, ..manifest };
+    std::fs::write(root.join("manifest.json"), serde_json::to_string_pretty(&rewritten).unwrap())
+        .unwrap();
+
+    let err = ds.load_all().unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    let (records, errors) = ds.load_all_lossy();
+    assert_eq!(records.len(), 1, "only the plain name loads");
+    assert_eq!(errors.len(), forged.len(), "{errors:?}");
+    for (error, name) in errors.iter().zip(&forged) {
+        assert!(
+            matches!(error, LoadError::MalformedSession { name: n, .. } if n == name),
+            "{name}: {error:?}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&root);
 }
