@@ -77,7 +77,7 @@ impl SessionSpec {
 
     /// A stable content hash of the spec — FNV-1a over its canonical JSON
     /// encoding, so it is identical across runs, platforms and Rust
-    /// versions (unlike `DefaultHasher`). `Campaign::run_checkpointed`
+    /// versions (unlike `DefaultHasher`). `Plan::run_checkpointed`
     /// stores it per checkpoint entry: a resumed campaign only trusts an
     /// on-disk session whose recorded seed *and* spec hash match the spec
     /// it is about to skip.

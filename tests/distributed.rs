@@ -133,7 +133,7 @@ fn three_workers_survive_a_mid_wave_kill_and_merge_byte_identically() {
     let total = job.specs().len();
 
     // Single-process reference: the workers=1 degradation path, which
-    // is `Campaign::run_checkpointed` verbatim.
+    // is `Plan::run_checkpointed` verbatim.
     let ref_dir = tmpdir("ref");
     let reference = run_distributed(
         &ref_dir,
