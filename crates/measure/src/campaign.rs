@@ -16,7 +16,7 @@
 //! persisting each wave so a killed campaign resumes where it stopped.
 
 use crate::dataset::Dataset;
-use crate::executor::Executor;
+use crate::executor::{Executor, ExecutorError};
 use crate::fault::{self, FaultConfig, FaultStats};
 use crate::session::{MobilityKind, SessionResult, SessionSpec};
 use analysis::OnlineAggregates;
@@ -159,12 +159,23 @@ impl Plan {
                     outcome.results.push(output);
                     outcome.coverage.push(SessionCoverage { index, stats });
                 }
-                Err(f) => outcome.failures.push(SessionFailure {
-                    index,
-                    spec: specs[i],
-                    attempts: f.attempts,
-                    reason: f.error.to_string(),
-                }),
+                Err(f) => {
+                    // The executor numbers items by their position in
+                    // this wave; the reason names the spec index, so a
+                    // resumed run reports what an uninterrupted one does.
+                    let error = match f.error {
+                        ExecutorError::WorkerPanic { payload, .. } => {
+                            ExecutorError::WorkerPanic { index: i, payload }
+                        }
+                        other => other,
+                    };
+                    outcome.failures.push(SessionFailure {
+                        index,
+                        spec: specs[i],
+                        attempts: f.attempts,
+                        reason: error.to_string(),
+                    });
+                }
             }
         }
         outcome

@@ -31,7 +31,7 @@
 use crate::session::{SessionResult, SessionSpec};
 use ran::kpi::{ColumnError, KpiTrace, CHUNK_RECORDS};
 use serde::{Deserialize, Serialize};
-use std::io;
+use std::io::{self, Read};
 use std::path::{Component, Path, PathBuf};
 
 /// Manifest of an exported dataset.
@@ -544,7 +544,11 @@ impl Dataset {
     /// but a single plain file name — an absolute path, `..`, a
     /// subdirectory — is refused as [`io::ErrorKind::InvalidData`]
     /// instead of read from outside `sessions/`.
-    fn read_session_bytes(&self, name: &str) -> io::Result<Vec<u8>> {
+    ///
+    /// The bytes replace `buf`'s contents, so a loader that reads many
+    /// sessions reuses one buffer instead of faulting in a fresh one per
+    /// file.
+    fn read_session_bytes(&self, name: &str, buf: &mut Vec<u8>) -> io::Result<()> {
         let mut parts = Path::new(name).components();
         if !matches!((parts.next(), parts.next()), (Some(Component::Normal(_)), None)) {
             return Err(io::Error::new(
@@ -552,23 +556,31 @@ impl Dataset {
                 format!("session name {name:?} is not a plain file name"),
             ));
         }
-        let bytes = std::fs::read(self.sessions_dir().join(name))?;
-        obs::registry().counter("dataset.bytes_read").add(bytes.len() as u64);
-        Ok(bytes)
+        buf.clear();
+        std::fs::File::open(self.sessions_dir().join(name))?.read_to_end(buf)?;
+        obs::registry().counter("dataset.bytes_read").add(buf.len() as u64);
+        Ok(())
     }
 
     /// Load one session by its manifest name, whatever its format version.
     /// A malformed file is an [`io::ErrorKind::InvalidData`] error whose
     /// inner error is the typed [`DecodeError`].
     pub fn load_session(&self, name: &str) -> io::Result<SessionRecord> {
-        decode_session(&self.read_session_bytes(name)?)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+        self.load_into(name, &mut Vec::new())
     }
 
-    /// Load every session in manifest order.
+    /// [`Dataset::load_session`], reading the file into `buf`.
+    fn load_into(&self, name: &str, buf: &mut Vec<u8>) -> io::Result<SessionRecord> {
+        self.read_session_bytes(name, buf)?;
+        decode_session(buf).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    }
+
+    /// Load every session in manifest order, reading each file into one
+    /// reused buffer.
     pub fn load_all(&self) -> io::Result<Vec<SessionRecord>> {
         let _span = obs::span("dataset.load");
-        self.manifest()?.sessions.iter().map(|n| self.load_session(n)).collect()
+        let mut buf = Vec::new();
+        self.manifest()?.sessions.iter().map(|name| self.load_into(name, &mut buf)).collect()
     }
 
     /// Load everything salvageable, in manifest order, with one typed
@@ -608,9 +620,10 @@ impl Dataset {
             });
         }
         let mut records = Vec::with_capacity(manifest.sessions.len());
+        let mut bytes = Vec::new();
         for name in &manifest.sessions {
-            match self.read_session_bytes(name) {
-                Ok(bytes) => match decode_session(&bytes) {
+            match self.read_session_bytes(name, &mut bytes) {
+                Ok(()) => match decode_session(&bytes) {
                     Ok(record) => records.push(record),
                     Err(e) => errors.push(LoadError::MalformedSession {
                         name: name.clone(),

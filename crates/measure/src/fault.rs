@@ -325,17 +325,27 @@ impl<'a, S: SlotSink> FaultInjector<'a, S> {
     }
 }
 
-impl<S: SlotSink> SlotSink for FaultInjector<'_, S> {
-    fn push(&mut self, kpi: &SlotKpi) {
+/// What a [`FaultInjector`] does with one record.
+enum Verdict {
+    /// Forward the record as it is.
+    Keep,
+    /// Forward this NaN-corrupted copy instead.
+    Corrupt(SlotKpi),
+    /// Drop it (collector gap or session abort).
+    Drop,
+    /// The planned worker panic fires at this record.
+    Panic,
+}
+
+impl<S: SlotSink> FaultInjector<'_, S> {
+    /// The per-record decision, in the fixed order panic, abort, gap,
+    /// corruption draw. Counts the record; the caller forwards it.
+    fn judge(&mut self, kpi: &SlotKpi) -> Verdict {
         self.stats.seen += 1;
 
         if let Some(p) = self.plan.panic {
             if self.attempt < p.attempts && kpi.time_s >= p.at_s {
-                obs::registry().counter("fault.injected_panics").inc();
-                panic!(
-                    "injected worker panic at t={:.4}s (attempt {} of {} planned)",
-                    kpi.time_s, self.attempt, p.attempts
-                );
+                return Verdict::Panic;
             }
         }
         if let Some(abort_s) = self.plan.abort_s {
@@ -345,16 +355,17 @@ impl<S: SlotSink> SlotSink for FaultInjector<'_, S> {
                     obs::registry().counter("fault.aborted_sessions").inc();
                 }
                 self.stats.dropped_abort += 1;
-                return;
+                return Verdict::Drop;
             }
         }
         if let Some((start, end)) = self.plan.gap_s {
             if kpi.time_s >= start && kpi.time_s < end {
                 self.stats.dropped_gap += 1;
                 obs::registry().counter("fault.gap_records").inc();
-                return;
+                return Verdict::Drop;
             }
         }
+        self.stats.forwarded += 1;
         if let Some(rng) = self.corrupt_rng.as_mut() {
             if unit(rng.next_u64()) < self.plan.corrupt_rate {
                 let mut corrupted = *kpi;
@@ -362,14 +373,55 @@ impl<S: SlotSink> SlotSink for FaultInjector<'_, S> {
                 corrupted.rsrp_dbm = f64::NAN;
                 corrupted.rsrq_db = f64::NAN;
                 self.stats.corrupted += 1;
-                self.stats.forwarded += 1;
                 obs::registry().counter("fault.corrupted_records").inc();
-                self.inner.push(&corrupted);
-                return;
+                return Verdict::Corrupt(corrupted);
             }
         }
-        self.stats.forwarded += 1;
-        self.inner.push(kpi);
+        Verdict::Keep
+    }
+
+    fn panic_at(&self, kpi: &SlotKpi) -> ! {
+        let p = self.plan.panic.expect("a panic verdict comes from a panic plan");
+        obs::registry().counter("fault.injected_panics").inc();
+        panic!(
+            "injected worker panic at t={:.4}s (attempt {} of {} planned)",
+            kpi.time_s, self.attempt, p.attempts
+        );
+    }
+}
+
+impl<S: SlotSink> SlotSink for FaultInjector<'_, S> {
+    fn push(&mut self, kpi: &SlotKpi) {
+        match self.judge(kpi) {
+            Verdict::Keep => self.inner.push(kpi),
+            Verdict::Corrupt(corrupted) => self.inner.push(&corrupted),
+            Verdict::Drop => {}
+            Verdict::Panic => self.panic_at(kpi),
+        }
+    }
+
+    /// Judges every row as [`SlotSink::push`] would, in order, and
+    /// forwards the survivors in order: each run of kept rows goes on as
+    /// one block, straight from `rows`, so a block no fault touches
+    /// passes through whole and uncopied. The survivors before a planned
+    /// panic reach the inner sink before it fires, as they would one by
+    /// one.
+    fn push_block(&mut self, rows: &[SlotKpi]) {
+        let mut run = 0;
+        for (i, kpi) in rows.iter().enumerate() {
+            let verdict = self.judge(kpi);
+            if let Verdict::Keep = verdict {
+                continue;
+            }
+            self.inner.push_block(&rows[run..i]);
+            run = i + 1;
+            match verdict {
+                Verdict::Corrupt(corrupted) => self.inner.push(&corrupted),
+                Verdict::Panic => self.panic_at(kpi),
+                Verdict::Keep | Verdict::Drop => {}
+            }
+        }
+        self.inner.push_block(&rows[run..]);
     }
 
     fn finish(&mut self) {

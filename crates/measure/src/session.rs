@@ -114,6 +114,11 @@ impl<S: SlotSink> SlotSink for CountingSink<'_, S> {
         self.inner.push(kpi);
     }
 
+    fn push_block(&mut self, rows: &[SlotKpi]) {
+        self.pushed += rows.len() as u64;
+        self.inner.push_block(rows);
+    }
+
     fn finish(&mut self) {
         self.inner.finish();
     }

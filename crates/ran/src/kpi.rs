@@ -16,9 +16,11 @@
 //! or [`KpiTrace::modulation_shares`] then touch only the columns they
 //! need (a few bytes per record) instead of dragging ~100-byte AoS
 //! records through cache. [`SlotKpi`] remains the unit of *exchange*:
-//! [`KpiTrace::push`] takes one, iterators yield them by value, and the
-//! streaming [`crate::sink::SlotSink`] trait moves them between producers
-//! and sinks without materialising a full trace at all.
+//! [`KpiTrace::push`] takes one, [`KpiTrace::push_block`] a slice of them
+//! (written column by column, [`BLOCK_RECORDS`] rows at a time),
+//! iterators yield them by value, and the streaming
+//! [`crate::sink::SlotSink`] trait moves them between producers and sinks
+//! without materialising a full trace at all.
 
 pub use nr_phy::mcs::Modulation;
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -163,6 +165,10 @@ impl SlotKpi {
 /// `index / CHUNK_RECORDS` addressing is a shift.
 pub const CHUNK_RECORDS: usize = 4096;
 
+/// Records per block of [`KpiTrace::push_block`] and of the producer's
+/// staging in [`crate::sim::UeSim::run_into`]: one flag word.
+pub const BLOCK_RECORDS: usize = 64;
+
 /// Stable wire code of a modulation order (the dataset v2 column
 /// encoding: one byte per record instead of a variant-name string).
 pub fn modulation_code(modulation: Modulation) -> u8 {
@@ -192,12 +198,25 @@ fn bit_get(words: &[u64], i: usize) -> bool {
     (words[i >> 6] >> (i & 63)) & 1 == 1
 }
 
-fn bit_push(words: &mut Vec<u64>, i: usize, value: bool) {
-    if i & 63 == 0 {
-        words.push(0);
+/// Append one flag bit per row to a packed column that already holds
+/// `at` bits: the rows' bits are gathered into one word, then OR-ed into
+/// the partial last word and, past a word edge, pushed as the next.
+/// Takes at most 64 rows.
+#[inline(always)]
+fn pack_bits(words: &mut Vec<u64>, at: usize, rows: &[SlotKpi], flag: impl Fn(&SlotKpi) -> bool) {
+    debug_assert!(rows.len() <= BLOCK_RECORDS);
+    if rows.is_empty() {
+        return;
     }
-    if value {
-        *words.last_mut().expect("word pushed above") |= 1u64 << (i & 63);
+    let bits = rows.iter().enumerate().fold(0u64, |w, (j, r)| w | u64::from(flag(r)) << j);
+    let shift = at & 63;
+    if shift == 0 {
+        words.push(bits);
+    } else {
+        *words.last_mut().expect("a partial word exists") |= bits << shift;
+        if shift + rows.len() > 64 {
+            words.push(bits >> (64 - shift));
+        }
     }
 }
 
@@ -259,31 +278,35 @@ impl Chunk {
         }
     }
 
-    fn push(&mut self, k: &SlotKpi) {
-        let i = self.len;
-        debug_assert!(i < CHUNK_RECORDS);
-        self.slot.push(k.slot);
-        self.time_s.push(k.time_s);
-        self.carrier.push(k.carrier);
-        self.n_prb.push(k.n_prb);
-        self.n_re.push(k.n_re);
-        self.mcs.push(k.mcs);
-        self.modulation.push(modulation_code(k.modulation));
-        self.layers.push(k.layers);
-        self.tbs_bits.push(k.tbs_bits);
-        self.delivered_bits.push(k.delivered_bits);
-        self.cqi.push(k.cqi);
-        self.sinr_db.push(k.sinr_db);
-        self.rsrp_dbm.push(k.rsrp_dbm);
-        self.rsrq_db.push(k.rsrq_db);
-        self.serving_site.push(k.serving_site);
-        self.queue_bits.push(k.queue_bits);
-        self.queue_delay_ms.push(k.queue_delay_ms);
-        bit_push(&mut self.ul, i, k.direction == Direction::Ul);
-        bit_push(&mut self.scheduled, i, k.scheduled);
-        bit_push(&mut self.is_retx, i, k.is_retx);
-        bit_push(&mut self.block_error, i, k.block_error);
-        self.len = i + 1;
+    /// The column writer: append up to [`BLOCK_RECORDS`] rows that fit
+    /// in this chunk, one pass per column. Always inlined, so a
+    /// single-record [`KpiTrace::push`] compiles to one store per column.
+    #[inline(always)]
+    fn append(&mut self, rows: &[SlotKpi]) {
+        let at = self.len;
+        debug_assert!(rows.len() <= BLOCK_RECORDS && at + rows.len() <= CHUNK_RECORDS);
+        self.slot.extend(rows.iter().map(|k| k.slot));
+        self.time_s.extend(rows.iter().map(|k| k.time_s));
+        self.carrier.extend(rows.iter().map(|k| k.carrier));
+        self.n_prb.extend(rows.iter().map(|k| k.n_prb));
+        self.n_re.extend(rows.iter().map(|k| k.n_re));
+        self.mcs.extend(rows.iter().map(|k| k.mcs));
+        self.modulation.extend(rows.iter().map(|k| modulation_code(k.modulation)));
+        self.layers.extend(rows.iter().map(|k| k.layers));
+        self.tbs_bits.extend(rows.iter().map(|k| k.tbs_bits));
+        self.delivered_bits.extend(rows.iter().map(|k| k.delivered_bits));
+        self.cqi.extend(rows.iter().map(|k| k.cqi));
+        self.sinr_db.extend(rows.iter().map(|k| k.sinr_db));
+        self.rsrp_dbm.extend(rows.iter().map(|k| k.rsrp_dbm));
+        self.rsrq_db.extend(rows.iter().map(|k| k.rsrq_db));
+        self.serving_site.extend(rows.iter().map(|k| k.serving_site));
+        self.queue_bits.extend(rows.iter().map(|k| k.queue_bits));
+        self.queue_delay_ms.extend(rows.iter().map(|k| k.queue_delay_ms));
+        pack_bits(&mut self.ul, at, rows, |k| k.direction == Direction::Ul);
+        pack_bits(&mut self.scheduled, at, rows, |k| k.scheduled);
+        pack_bits(&mut self.is_retx, at, rows, |k| k.is_retx);
+        pack_bits(&mut self.block_error, at, rows, |k| k.block_error);
+        self.len = at + rows.len();
     }
 
     fn direction_at(&self, i: usize) -> Direction {
@@ -401,22 +424,43 @@ impl KpiTrace {
 
     /// Append a record.
     pub fn push(&mut self, kpi: SlotKpi) {
-        // (`is_none_or` would read better but needs Rust 1.82; MSRV is 1.75.)
-        let full = match self.chunks.last() {
-            Some(c) => c.len == CHUNK_RECORDS,
-            None => true,
-        };
-        if full {
-            self.chunks.push(Chunk::preallocated());
+        self.append(std::slice::from_ref(&kpi));
+    }
+
+    /// Append records in order, column by column in blocks of
+    /// [`BLOCK_RECORDS`]. The trace equals the one a [`KpiTrace::push`]
+    /// per record builds, chunk layout and duration included.
+    pub fn push_block(&mut self, rows: &[SlotKpi]) {
+        for block in rows.chunks(BLOCK_RECORDS) {
+            self.append(block);
         }
-        self.chunks.last_mut().expect("chunk pushed above").push(&kpi);
-        self.len += 1;
-        self.observe_time(kpi.slot, kpi.time_s);
+    }
+
+    /// Append at most [`BLOCK_RECORDS`] rows, which may start anywhere in
+    /// the last chunk and cross into a fresh one.
+    #[inline(always)]
+    fn append(&mut self, rows: &[SlotKpi]) {
+        let mut rest = rows;
+        while !rest.is_empty() {
+            let room = self.chunks.last().map_or(0, |c| CHUNK_RECORDS - c.len);
+            if room == 0 {
+                self.chunks.push(Chunk::preallocated());
+                continue;
+            }
+            let (head, tail) = rest.split_at(rest.len().min(room));
+            self.chunks.last_mut().expect("a chunk with room").append(head);
+            rest = tail;
+        }
+        self.len += rows.len();
+        for kpi in rows {
+            self.observe_time(kpi.slot, kpi.time_s);
+        }
     }
 
     /// Fold one record's timestamp into the duration bookkeeping. Shared
-    /// by [`KpiTrace::push`] and [`KpiTrace::read_columns`], so a decoded
-    /// trace reports exactly the duration of the trace that was written.
+    /// by [`KpiTrace::push`], [`KpiTrace::push_block`] and
+    /// [`KpiTrace::read_columns`], so a decoded trace reports exactly the
+    /// duration of the trace that was written.
     fn observe_time(&mut self, slot: u64, time_s: f64) {
         if slot > 0 {
             // Slot-start timestamps lie on `slot * slot_s` grids, so the
@@ -1263,7 +1307,8 @@ impl std::error::Error for ColumnError {}
 /// infinities and subnormals survive exactly.
 trait DumpScalar: Copy {
     const WIDTH: usize;
-    fn put(self, out: &mut Vec<u8>);
+    /// Encode into exactly `WIDTH` bytes.
+    fn put(self, out: &mut [u8]);
     /// Decode from exactly `WIDTH` bytes.
     fn take(bytes: &[u8]) -> Self;
 }
@@ -1272,8 +1317,8 @@ macro_rules! dump_scalar_int {
     ($($t:ty),*) => {$(
         impl DumpScalar for $t {
             const WIDTH: usize = std::mem::size_of::<$t>();
-            fn put(self, out: &mut Vec<u8>) {
-                out.extend_from_slice(&self.to_le_bytes());
+            fn put(self, out: &mut [u8]) {
+                out.copy_from_slice(&self.to_le_bytes());
             }
             fn take(bytes: &[u8]) -> Self {
                 <$t>::from_le_bytes(bytes.try_into().expect("exactly WIDTH bytes"))
@@ -1286,7 +1331,7 @@ dump_scalar_int!(u8, u16, u32, u64);
 
 impl DumpScalar for f64 {
     const WIDTH: usize = 8;
-    fn put(self, out: &mut Vec<u8>) {
+    fn put(self, out: &mut [u8]) {
         self.to_bits().put(out);
     }
     fn take(bytes: &[u8]) -> Self {
@@ -1295,12 +1340,16 @@ impl DumpScalar for f64 {
 }
 
 /// Append one column, concatenated across chunks, zero-padded to a
-/// multiple of 8 bytes.
+/// multiple of 8 bytes. Each chunk's run is sized with one `resize`,
+/// then filled value by value in place.
 fn put_column<T: DumpScalar>(out: &mut Vec<u8>, chunks: &[Chunk], col: impl Fn(&Chunk) -> &[T]) {
     let start = out.len();
     for chunk in chunks {
-        for &v in col(chunk) {
-            v.put(out);
+        let values = col(chunk);
+        let at = out.len();
+        out.resize(at + values.len() * T::WIDTH, 0);
+        for (dst, &v) in out[at..].chunks_exact_mut(T::WIDTH).zip(values) {
+            v.put(dst);
         }
     }
     out.resize(start + (out.len() - start).next_multiple_of(8), 0);

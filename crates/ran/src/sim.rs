@@ -9,7 +9,7 @@
 
 use crate::carrier::{Carrier, TrafficPattern};
 use crate::config::UplinkRouting;
-use crate::kpi::KpiTrace;
+use crate::kpi::{Direction, KpiTrace, SlotKpi, BLOCK_RECORDS};
 use crate::leg::COUNTER_FLUSH_SLOTS;
 use crate::lte::LteAnchor;
 use crate::sink::SlotSink;
@@ -126,10 +126,7 @@ impl UeSim {
             .sum::<u64>()
             + if self.lte.is_some() { ticks.div_ceil(self.lte_divider) } else { 0 };
         let mut trace = KpiTrace::with_capacity(records as usize);
-        for _ in 0..ticks {
-            self.step_into(&mut trace);
-        }
-        trace.finish();
+        self.run_into(duration_s, &mut trace);
         trace
     }
 
@@ -137,11 +134,17 @@ impl UeSim {
     /// materialising a trace; calls [`SlotSink::finish`] at the end. This
     /// is the bounded-memory entry point — a sink that aggregates online
     /// keeps campaign memory independent of session duration.
+    ///
+    /// Records are staged in a [`BLOCK_RECORDS`]-row block on the stack
+    /// and reach `sink` through [`SlotSink::push_block`], in emission
+    /// order; the last, partial block is flushed before `finish`.
     pub fn run_into<S: SlotSink>(&mut self, duration_s: f64, sink: &mut S) {
         let ticks = (duration_s / self.base_slot_s).round() as u64;
+        let mut block = BlockStage::new(sink);
         for _ in 0..ticks {
-            self.step_into(sink);
+            self.step_into(&mut block);
         }
+        block.flush();
         sink.finish();
     }
 
@@ -218,11 +221,43 @@ impl UeSim {
     }
 }
 
+/// The producer's staging block: records collect on the stack and go to
+/// the wrapped sink [`BLOCK_RECORDS`] at a time.
+struct BlockStage<'a, S: SlotSink> {
+    rows: [SlotKpi; BLOCK_RECORDS],
+    len: usize,
+    sink: &'a mut S,
+}
+
+impl<'a, S: SlotSink> BlockStage<'a, S> {
+    fn new(sink: &'a mut S) -> Self {
+        let blank = SlotKpi::idle(0, 0.0, 0, Direction::Dl, 0, 0.0, 0.0, 0.0, 0);
+        BlockStage { rows: [blank; BLOCK_RECORDS], len: 0, sink }
+    }
+
+    fn flush(&mut self) {
+        if self.len > 0 {
+            self.sink.push_block(&self.rows[..self.len]);
+            self.len = 0;
+        }
+    }
+}
+
+impl<S: SlotSink> SlotSink for BlockStage<'_, S> {
+    #[inline]
+    fn push(&mut self, kpi: &SlotKpi) {
+        self.rows[self.len] = *kpi;
+        self.len += 1;
+        if self.len == BLOCK_RECORDS {
+            self.flush();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::CellConfig;
-    use crate::kpi::Direction;
     use crate::lte::{LteConfig, LTE_CARRIER_INDEX};
     use nr_phy::band::Band;
     use nr_phy::numerology::Numerology;
@@ -351,6 +386,44 @@ mod tests {
         let trace = sim.run(1.0);
         assert!(trace.iter().all(|r| r.carrier != LTE_CARRIER_INDEX));
         assert!(trace.mean_throughput_mbps(Direction::Ul) > 0.0);
+    }
+
+    /// Collects records one by one: blocks reach it through the default
+    /// per-record loop of [`SlotSink::push_block`].
+    struct Collect(Vec<SlotKpi>);
+
+    impl SlotSink for Collect {
+        fn push(&mut self, kpi: &SlotKpi) {
+            self.0.push(*kpi);
+        }
+    }
+
+    #[test]
+    fn run_equals_run_into() {
+        let pos = Position::new(80.0, 0.0);
+        let sim = || {
+            let n41 = mk_carrier(CellConfig::midband(100, "DDDSU"), 0, pos, 5);
+            let mut n25_cfg = CellConfig::fdd(Band::N25, 20, Numerology::Mu0);
+            n25_cfg.band = Band::N25;
+            let n25 = mk_carrier(n25_cfg, 1, pos, 5);
+            UeSim::new(
+                vec![n41, n25],
+                Some(mk_lte(pos, 5)),
+                MobilityModel::Stationary { position: pos },
+                UeSimConfig::default(),
+                &SeedTree::new(5),
+            )
+        };
+        // 0.7 s of mixed-numerology CA ends on a partial block.
+        let trace = sim().run(0.7);
+        let mut streamed = KpiTrace::new();
+        sim().run_into(0.7, &mut streamed);
+        let mut collected = Collect(Vec::new());
+        sim().run_into(0.7, &mut collected);
+        assert_ne!(trace.len() % BLOCK_RECORDS, 0);
+        assert_eq!(streamed, trace);
+        assert_eq!(streamed.duration_s().to_bits(), trace.duration_s().to_bits());
+        assert!(trace.iter().eq(collected.0.iter().copied()));
     }
 
     #[test]

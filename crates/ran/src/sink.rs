@@ -11,9 +11,15 @@
 //!
 //! - Records arrive in the producer's emission order (monotone
 //!   non-decreasing `time_s` per carrier); sinks may rely on that order.
+//! - Records arrive one at a time ([`SlotSink::push`]) or in blocks
+//!   ([`SlotSink::push_block`]); a block is the next run of records in
+//!   emission order, so a sink sees the same sequence either way.
+//!   [`crate::sim::UeSim::run_into`] stages its records in blocks of
+//!   [`crate::kpi::BLOCK_RECORDS`] on the stack and flushes the last,
+//!   partial block before `finish`.
 //! - [`SlotSink::finish`] is called exactly once, after the last record
-//!   of the run. Pushing after `finish` is a contract violation and sinks
-//!   may panic or produce unspecified aggregates.
+//!   (or block) of the run. Pushing after `finish` is a contract
+//!   violation and sinks may panic or produce unspecified aggregates.
 
 use crate::kpi::{KpiTrace, SlotKpi};
 
@@ -21,6 +27,15 @@ use crate::kpi::{KpiTrace, SlotKpi};
 pub trait SlotSink {
     /// Consume one record. Records arrive in emission order.
     fn push(&mut self, kpi: &SlotKpi);
+
+    /// Consume the next `rows` of the stream, in order. The default is
+    /// the per-record loop; sinks with a cheaper bulk path ([`KpiTrace`]
+    /// writes each column once per block) override it.
+    fn push_block(&mut self, rows: &[SlotKpi]) {
+        for kpi in rows {
+            self.push(kpi);
+        }
+    }
 
     /// Signal end of stream. Called exactly once, after the last record;
     /// sinks finalise derived state (padding series, sealing sketches)
@@ -32,10 +47,15 @@ impl SlotSink for KpiTrace {
     fn push(&mut self, kpi: &SlotKpi) {
         KpiTrace::push(self, *kpi);
     }
+
+    fn push_block(&mut self, rows: &[SlotKpi]) {
+        KpiTrace::push_block(self, rows);
+    }
 }
 
 /// Feeds every record to two sinks in order — e.g. retain a full trace
-/// while simultaneously folding online aggregates.
+/// while simultaneously folding online aggregates. A block goes to
+/// `first` whole, then to `second`.
 #[derive(Debug, Clone, Default)]
 pub struct Tee<A, B> {
     /// The first sink; receives each record before `second`.
@@ -55,6 +75,11 @@ impl<A: SlotSink, B: SlotSink> SlotSink for Tee<A, B> {
     fn push(&mut self, kpi: &SlotKpi) {
         self.first.push(kpi);
         self.second.push(kpi);
+    }
+
+    fn push_block(&mut self, rows: &[SlotKpi]) {
+        self.first.push_block(rows);
+        self.second.push_block(rows);
     }
 
     fn finish(&mut self) {

@@ -5,7 +5,8 @@
 
 use proptest::prelude::*;
 use ran::kpi::{
-    ColumnError, Direction, KpiTrace, Modulation, SlotKpi, CHUNK_RECORDS, VALUE_COLUMN_WIDTHS,
+    ColumnError, Direction, KpiTrace, Modulation, SlotKpi, BLOCK_RECORDS, CHUNK_RECORDS,
+    VALUE_COLUMN_WIDTHS,
 };
 use serde::{Deserialize, Serialize};
 
@@ -224,6 +225,65 @@ proptest! {
             a.push(r);
             b.push(r);
         }
+        prop_assert_eq!(a, b);
+    }
+}
+
+/// The next block length for [`block_appends_equal_per_record_pushes`]:
+/// empty, the sizes around one flag word, a random size, or a length
+/// that stops short of the next chunk edge — or, once within a block of
+/// it, crosses it.
+fn block_len(rng: &mut Mix, at: usize) -> usize {
+    match rng.below(7) {
+        0 => 0,
+        1 => 1,
+        2 => BLOCK_RECORDS - 1,
+        3 => BLOCK_RECORDS,
+        4 => BLOCK_RECORDS + 1,
+        5 => rng.below(200) as usize,
+        _ => {
+            let to_edge = CHUNK_RECORDS - at % CHUNK_RECORDS;
+            let near = 1 + rng.below(BLOCK_RECORDS as u64 - 1) as usize;
+            if to_edge > BLOCK_RECORDS {
+                to_edge - near
+            } else {
+                to_edge + near
+            }
+        }
+    }
+}
+
+proptest! {
+    /// A trace built from blocks of any size, starting at any offset and
+    /// crossing chunk edges, is the trace a push per record builds: the
+    /// same records, duration bits, heap footprint and column dump.
+    #[test]
+    fn block_appends_equal_per_record_pushes(
+        seed in 0u64..1_000_000,
+        n in 0usize..2 * CHUNK_RECORDS + 300,
+    ) {
+        let records = gen_records(seed, n);
+        let mut pushed = KpiTrace::new();
+        for &r in &records {
+            pushed.push(r);
+        }
+        let mut rng = Mix(seed ^ 0xb10c);
+        let mut blocked = KpiTrace::new();
+        let mut at = 0;
+        while at < n {
+            let len = block_len(&mut rng, at).min(n - at);
+            blocked.push_block(&records[at..at + len]);
+            at += len;
+        }
+        blocked.push_block(&[]);
+
+        prop_assert!(blocked.iter().eq(records.iter().copied()));
+        prop_assert_eq!(&blocked, &pushed);
+        prop_assert_eq!(blocked.duration_s().to_bits(), pushed.duration_s().to_bits());
+        prop_assert_eq!(blocked.heap_bytes(), pushed.heap_bytes());
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        blocked.write_columns(&mut a);
+        pushed.write_columns(&mut b);
         prop_assert_eq!(a, b);
     }
 }

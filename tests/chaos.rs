@@ -9,11 +9,14 @@
 
 use midband5g::measure::campaign::{Aggregates, Campaign, CampaignOutcome, Plan, Traces};
 use midband5g::measure::executor::Executor;
-use midband5g::measure::fault::{FaultConfig, FaultPlan};
-use midband5g::measure::session::SessionSpec;
+use midband5g::measure::fault::{FaultConfig, FaultInjector, FaultPlan, FaultStats};
+use midband5g::measure::session::{SessionResult, SessionSpec};
 use midband5g::measure::{Dataset, DEFAULT_RETRY_BUDGET};
 use midband5g::operators::Operator;
+use midband5g::ran::kpi::{KpiTrace, SlotKpi, BLOCK_RECORDS};
+use midband5g::ran::sink::SlotSink;
 use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
 /// Operators spanning three countries and both routing architectures —
@@ -195,6 +198,98 @@ fn checkpoint_resume_is_byte_identical_to_uninterrupted() {
 
     let _ = std::fs::remove_dir_all(&clean_dir);
     let _ = std::fs::remove_dir_all(&resume_dir);
+}
+
+#[test]
+fn resumed_campaign_reports_an_abandoned_session_like_the_uninterrupted_one() {
+    // Session 1 of this campaign out-panics its retry budget. Killed after
+    // two sessions, the resumed run reattempts it first in its wave; the
+    // failure it reports must still name spec index 1.
+    let operator = Operator::VodafoneItaly;
+    let full = Campaign { operator, sessions: 4, session_duration_s: 0.5, base_seed: 14 };
+    let executor = Executor::new(2);
+
+    let clean_dir = tmpdir("abandon-clean");
+    let uninterrupted = run_checkpointed(&full, &clean_dir, executor, CHAOS)
+        .expect("uninterrupted checkpointed run");
+    assert!(!uninterrupted.failures.is_empty(), "the campaign must abandon a session");
+
+    let resume_dir = tmpdir("abandon-resume");
+    let killed = Campaign { sessions: 2, ..full };
+    run_checkpointed(&killed, &resume_dir, executor, CHAOS).expect("interrupted prefix run");
+    let resumed = run_checkpointed(&full, &resume_dir, executor, CHAOS).expect("resumed run");
+    assert_eq!(
+        encode(&uninterrupted),
+        encode(&resumed),
+        "resumed campaign reported its abandoned session differently"
+    );
+
+    let _ = std::fs::remove_dir_all(&clean_dir);
+    let _ = std::fs::remove_dir_all(&resume_dir);
+}
+
+/// Collects records in arrival order.
+struct Collect(Vec<SlotKpi>);
+
+impl SlotSink for Collect {
+    fn push(&mut self, kpi: &SlotKpi) {
+        self.0.push(*kpi);
+    }
+}
+
+/// What one fault-injected attempt leaves: the surviving trace
+/// (serialised, since corrupted records carry NaN), the injector's stats
+/// and the injected panic's message, if one fired.
+type Fed = (String, FaultStats, Option<String>);
+
+/// Feed `records` through a [`FaultInjector`] for `attempt`, one record
+/// at a time or, with `blocks`, in blocks of random size up to
+/// [`BLOCK_RECORDS`].
+fn feed(records: &[SlotKpi], plan: &FaultPlan, attempt: u32, blocks: Option<u64>) -> Fed {
+    let mut trace = KpiTrace::new();
+    let mut injector = FaultInjector::new(&mut trace, plan, attempt);
+    let fed = catch_unwind(AssertUnwindSafe(|| match blocks {
+        None => records.iter().for_each(|r| injector.push(r)),
+        Some(mut state) => {
+            let mut rest = records;
+            while !rest.is_empty() {
+                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                let len = (1 + (state >> 33) as usize % BLOCK_RECORDS).min(rest.len());
+                let (block, tail) = rest.split_at(len);
+                injector.push_block(block);
+                rest = tail;
+            }
+        }
+    }));
+    let stats = injector.stats();
+    let panic = fed.err().map(|p| p.downcast_ref::<String>().cloned().unwrap_or_default());
+    (serde_json::to_string(&trace).expect("traces serialise"), stats, panic)
+}
+
+#[test]
+fn fault_injector_blocks_match_per_record_feeding() {
+    let mut fired = FaultStats::default();
+    let mut panics = 0;
+    for seed in 0..24u64 {
+        let spec = SessionSpec::stationary(Operator::VodafoneItaly, 0, 0.5, 3000 + seed);
+        let mut records = Collect(Vec::new());
+        SessionResult::run_with_sink(spec, &mut records);
+        let plan = FaultPlan::for_spec(&spec, &CHAOS);
+        for attempt in 0..=plan.panic.map_or(0, |p| p.attempts) {
+            let one_by_one = feed(&records.0, &plan, attempt, None);
+            let blocked = feed(&records.0, &plan, attempt, Some(seed));
+            assert_eq!(one_by_one, blocked, "seed {seed}, attempt {attempt}");
+            let stats = one_by_one.1;
+            fired.dropped_gap += stats.dropped_gap;
+            fired.dropped_abort += stats.dropped_abort;
+            fired.corrupted += stats.corrupted;
+            panics += usize::from(one_by_one.2.is_some());
+        }
+    }
+    assert!(
+        fired.dropped_gap > 0 && fired.dropped_abort > 0 && fired.corrupted > 0 && panics > 0,
+        "every fault kind must fire somewhere: {fired:?}, {panics} panics"
+    );
 }
 
 #[test]
