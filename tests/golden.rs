@@ -13,6 +13,7 @@
 //! why in CHANGES.md. Any other change must leave it as it is.
 
 use midband5g::analysis::OnlineAggregates;
+use midband5g::experiments::extensions;
 use midband5g::measure::campaign::{
     Aggregates, Campaign, CampaignOutcome, Plan, SessionCoverage, SessionFailure, Traces,
 };
@@ -23,9 +24,10 @@ use midband5g::measure::loadsweep::CellLoadSweep;
 use midband5g::measure::session::{MobilityKind, SessionResult, SessionSpec};
 use midband5g::measure::{Dataset, DEFAULT_RETRY_BUDGET};
 use midband5g::operators::Operator;
-use midband5g::radio_channel::channel::ChannelSimulator;
+use midband5g::radio_channel::channel::{ChannelConfig, ChannelSimulator};
 use midband5g::radio_channel::fading::{FadingConfig, FadingProcess};
 use midband5g::radio_channel::geometry::{DeploymentLayout, Position};
+use midband5g::radio_channel::link::LinkModel;
 use midband5g::radio_channel::mobility::MobilityModel;
 use midband5g::radio_channel::rng::SeedTree;
 use midband5g::radio_channel::shadowing::{ShadowingConfig, ShadowingProcess};
@@ -402,6 +404,60 @@ fn cell_load_point_digest_is_unchanged() {
     h.word(p.served_ues as u64);
     h.f64(p.mean_prb_per_dl_slot);
     assert_eq!(h.0, 0xabc8_9414_fd59_ad8c, "golden load-point digest moved: {:#018x} ({p:?})", h.0);
+}
+
+/// A bare carrier on its default full-buffer legs, both directions
+/// saturated: 90 MHz DDDSU, urban channel, 256QAM link, 95 m, seed 90,
+/// 8,000 slots.
+#[test]
+fn full_buffer_carrier_digest_is_unchanged() {
+    let pos = Position::new(95.0, 0.0);
+    let seeds = SeedTree::new(90);
+    let cfg = CellConfig::midband(90, "DDDSU");
+    let channel = ChannelSimulator::new(
+        ChannelConfig::midband_urban(cfg.n_rb),
+        DeploymentLayout::single_site(),
+        MobilityModel::Stationary { position: pos },
+        &seeds,
+    );
+    let mut carrier = Carrier::new(cfg, 0, channel, LinkModel::midband_qam256(), &seeds);
+    let mut h = Fnv::new();
+    let mut records = 0usize;
+    for _ in 0..8_000 {
+        let out = carrier.step(pos, 0.0, TrafficPattern::BOTH, true, 1.0, 1.0);
+        hash_record(&mut h, &out.dl);
+        records += 1;
+        if let Some(ul) = out.ul {
+            hash_record(&mut h, &ul);
+            records += 1;
+        }
+    }
+    assert_eq!((records, h.0), (11200, 0x4aac_b009_22fc_cba9), "golden full-buffer carrier digest moved: {:#018x}", h.0);
+}
+
+/// Five full-buffer UEs under proportional fair at 60 MHz, seed 91,
+/// 6,000 slots, on the default DL legs.
+#[test]
+fn full_buffer_cell_digest_is_unchanged() {
+    let distances = [45.0, 65.0, 85.0, 105.0, 125.0];
+    let got = cell_digest(CellParams::midband(60, ProportionalFair), &distances, 91, 6_000);
+    assert_eq!(got, (42000, 0x2051_67de_5004_f34b), "golden full-buffer cell digest moved: {:#018x}", got.1);
+}
+
+/// The CBR offered-load sweep below, at and far past the knee: every
+/// field of every row.
+#[test]
+fn cbr_load_sweep_digest_is_unchanged() {
+    let rows = extensions::load_sweep(&[100.0, 400.0, 2000.0], 2.0, 11);
+    let mut h = Fnv::new();
+    h.word(rows.len() as u64);
+    for r in &rows {
+        h.f64(r.offered_mbps);
+        h.f64(r.delivered_mbps);
+        h.f64(r.queue_delay_ms);
+        h.f64(r.utilisation);
+    }
+    assert_eq!(h.0, 0x53e5_dc06_0af3_ea9b, "golden load-sweep digest moved: {:#018x} ({rows:?})", h.0);
 }
 
 // ------------------------------------------------------- campaign layer
