@@ -1,8 +1,15 @@
 //! Extension study: offered-load sweep — the utilisation/queueing curve
-//! of one 90 MHz mid-band carrier under rate-limited traffic (built on
-//! `ran::traffic`, beyond the paper's full-buffer methodology).
+//! of one 90 MHz mid-band carrier under rate-limited traffic (the `Cbr`
+//! workload through the gNB queue, beyond the paper's full-buffer
+//! methodology).
+//!
+//! Under `MIDBAND5G_AUDIT=1` the run exits non-zero if any invariant
+//! check failed: past the knee the queue holds gigabits, which
+//! exercises the queue-limit and sojourn checks at a depth no other run
+//! reaches.
 
 use midband5g::experiments::extensions;
+use midband5g::obs::audit;
 use midband5g_bench::{banner, RunArgs};
 
 fn main() {
@@ -29,4 +36,16 @@ fn main() {
     println!("the queue delay grows without bound — the margin behind the paper's");
     println!("recommendation that operators provision for consistency, not peaks.");
     args.maybe_dump(&rows);
+    if audit::enabled() {
+        for (name, count) in audit::snapshot().violations {
+            if count > 0 {
+                eprintln!("  VIOLATION {name}: {count}");
+            }
+        }
+        let violations = audit::total_violations();
+        if violations > 0 {
+            eprintln!("FAIL: {violations} invariant violations");
+            std::process::exit(1);
+        }
+    }
 }

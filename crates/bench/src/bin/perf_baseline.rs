@@ -87,18 +87,6 @@ struct StreamingFigure {
     wall_ms: f64,
 }
 
-/// Cost of routing the saturating full-buffer workload through the
-/// `ran::workload` trait pipeline instead of the legacy closed enum.
-#[derive(Debug, Serialize)]
-struct WorkloadOverheadFigure {
-    /// Carrier slots per second, legacy `TrafficSource::FullBuffer` path.
-    legacy_slots_per_sec: f64,
-    /// Carrier slots per second, default `Pipeline(FullBuffer)` path.
-    pipeline_slots_per_sec: f64,
-    /// Median per-round `pipeline / legacy` rate ratio (≥ 0.95 gated).
-    pipeline_over_legacy: f64,
-}
-
 /// Throughput of the loaded-cell engine at one UE count (`--cell-load`).
 #[derive(Debug, Serialize)]
 struct CellLoadFigure {
@@ -123,8 +111,6 @@ struct Baseline {
     scenarios: Vec<Scenario>,
     /// Full-session wall-clock figures.
     sessions: Vec<SessionFigure>,
-    /// Full-buffer-via-trait cost relative to the legacy enum path.
-    workload_overhead: WorkloadOverheadFigure,
     /// Streaming-campaign memory profile; absent without `--streaming`.
     streaming: Option<StreamingFigure>,
     /// Loaded-cell engine scaling; absent without `--cell-load`.
@@ -301,51 +287,6 @@ fn main() {
         });
     }
 
-    // The tentpole regression figure: the default flow became
-    // `Pipeline(FullBuffer)`, so the whole hot path now runs through the
-    // workload trait. Byte identity is pinned by `workload_props`; this
-    // pins the *cost* — the trait detour must stay within 5% of the
-    // legacy closed-enum carrier.
-    let workload_overhead = {
-        use midband5g::ran::carrier::{Carrier, TrafficPattern};
-        use midband5g::ran::config::CellConfig;
-        use midband5g::ran::traffic::TrafficSource;
-        use midband5g::radio_channel::link::LinkModel;
-
-        let pos = Position::new(95.0, 0.0);
-        let build = || {
-            let seeds = SeedTree::new(11);
-            let cfg = CellConfig::midband(90, "DDDSU");
-            let channel = ChannelSimulator::new(
-                ChannelConfig::midband_urban(cfg.n_rb),
-                DeploymentLayout::single_site(),
-                MobilityModel::Stationary { position: pos },
-                &seeds,
-            );
-            Carrier::new(cfg, 0, channel, LinkModel::midband_qam256(), &seeds)
-        };
-        let mut pipeline = build();
-        let mut legacy = build();
-        let seeds = SeedTree::new(11);
-        legacy.set_dl_traffic(TrafficSource::FullBuffer, &seeds);
-        legacy.set_ul_traffic(TrafficSource::FullBuffer, &seeds);
-        let (pipe_rate, legacy_rate, ratio) = measure_pair(
-            slots_per_round / 8,
-            rounds,
-            || {
-                black_box(pipeline.step(black_box(pos), 0.0, TrafficPattern::BOTH, true, 1.0, 1.0));
-            },
-            || {
-                black_box(legacy.step(black_box(pos), 0.0, TrafficPattern::BOTH, true, 1.0, 1.0));
-            },
-        );
-        WorkloadOverheadFigure {
-            legacy_slots_per_sec: legacy_rate,
-            pipeline_slots_per_sec: pipe_rate,
-            pipeline_over_legacy: ratio,
-        }
-    };
-
     let streaming_fig = streaming.then(|| {
         let campaign = Campaign {
             session_duration_s: if quick { 1.0 } else { 10.0 },
@@ -397,7 +338,6 @@ fn main() {
         slots_per_variant: slots,
         scenarios,
         sessions,
-        workload_overhead,
         streaming: streaming_fig,
         cell_load: cell_load_fig,
     };
@@ -411,14 +351,6 @@ fn main() {
     }
     for s in &baseline.sessions {
         println!("  session {:<14} {:.1} s simulated in {:.0} ms", s.operator, s.duration_s, s.wall_ms);
-    }
-    {
-        let w = &baseline.workload_overhead;
-        println!(
-            "  workload pipeline {:>12.0} slots/s vs legacy enum {:>12.0} slots/s \
-             (ratio {:.3})",
-            w.pipeline_slots_per_sec, w.legacy_slots_per_sec, w.pipeline_over_legacy
-        );
     }
     if let Some(f) = &baseline.streaming {
         println!(
@@ -473,18 +405,6 @@ fn main() {
                 );
                 failed = true;
             }
-        }
-        // The full-buffer-via-trait carrier must stay within 5% of the
-        // legacy closed-enum carrier (median per-round ratio).
-        const WORKLOAD_OVERHEAD_FLOOR: f64 = 0.95;
-        let w = &baseline.workload_overhead;
-        if w.pipeline_over_legacy < WORKLOAD_OVERHEAD_FLOOR {
-            eprintln!(
-                "gate: workload pipeline at {:.3}x of the legacy carrier, below the \
-                 {WORKLOAD_OVERHEAD_FLOOR:.2}x floor",
-                w.pipeline_over_legacy
-            );
-            failed = true;
         }
         if failed {
             eprintln!("gate: performance regression — rerun on a quiet machine or pass --no-gate");

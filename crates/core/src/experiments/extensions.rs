@@ -188,9 +188,9 @@ pub struct LoadSweepRow {
 
 /// Offered-load sweep over one V_Sp-class carrier: goodput tracks load
 /// until the channel saturates, after which the queue (and its delay)
-/// blows up — the classic utilisation curve, built on the
-/// [`ran::traffic`] sources the paper's full-buffer methodology never
-/// exercises.
+/// blows up — the classic utilisation curve, built on a constant-bitrate
+/// [`ran::workload::Cbr`] source behind an unbounded gNB queue, a load
+/// the paper's full-buffer methodology never exercises.
 pub fn load_sweep(rates_mbps: &[f64], duration_s: f64, seed: u64) -> Vec<LoadSweepRow> {
     use radio_channel::channel::ChannelSimulator;
     use radio_channel::geometry::{DeploymentLayout, Position};
@@ -198,7 +198,8 @@ pub fn load_sweep(rates_mbps: &[f64], duration_s: f64, seed: u64) -> Vec<LoadSwe
     use ran::carrier::{Carrier, TrafficPattern};
     use ran::config::CellConfig;
     use ran::kpi::Direction;
-    use ran::traffic::TrafficSource;
+    use ran::queue::QueueConfig;
+    use ran::workload::Cbr;
 
     let profile = Operator::VodafoneSpain.profile();
     let pos = Position::new(100.0, 0.0);
@@ -217,7 +218,7 @@ pub fn load_sweep(rates_mbps: &[f64], duration_s: f64, seed: u64) -> Vec<LoadSwe
             );
             let mut carrier =
                 Carrier::new(cfg, 0, channel, profile.link_model(&profile.carriers[0]), &seeds);
-            carrier.set_dl_traffic(TrafficSource::Cbr { rate_mbps: rate }, &seeds);
+            carrier.set_dl_workload(Box::new(Cbr::new(rate)), QueueConfig::unbounded());
             let slots = (duration_s / carrier.slot_s()).round() as u64;
             let mut trace = ran::kpi::KpiTrace::new();
             let mut backlog_sum = 0.0;

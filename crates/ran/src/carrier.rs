@@ -13,7 +13,6 @@ use crate::kpi::{Direction, SlotKpi};
 use crate::leg::{self, BlerDraws, SlotCounters, SlotCtx, UeLeg};
 use crate::queue::QueueConfig;
 use crate::scheduler::AllocationTable;
-use crate::traffic::TrafficSource;
 use crate::workload::Workload;
 use nr_phy::csi::DEFAULT_CSI_PERIOD_SLOTS;
 use nr_phy::tbs::TbsCache;
@@ -139,25 +138,12 @@ impl Carrier {
         self.tbs_cache = TbsCache::new();
     }
 
-    /// Replace the DL traffic source with a legacy closed-enum source
-    /// (default: full buffer). `seeds` should be the same tree the
-    /// carrier was built with so results stay reproducible.
-    pub fn set_dl_traffic(&mut self, source: TrafficSource, seeds: &SeedTree) {
-        self.dl_flow = Flow::legacy(source, seeds, "dl");
-    }
-
-    /// Replace the UL traffic source (default: full buffer).
-    pub fn set_ul_traffic(&mut self, source: TrafficSource, seeds: &SeedTree) {
-        self.ul_flow = Flow::legacy(source, seeds, "ul");
-    }
-
-    /// Install a pluggable DL workload behind a gNB queue — the open
-    /// counterpart of [`Carrier::set_dl_traffic`].
+    /// Install a DL workload behind a gNB queue (default: full buffer).
     pub fn set_dl_workload(&mut self, workload: Box<dyn Workload>, queue: QueueConfig) {
         self.dl_flow = Flow::pipeline(workload, queue);
     }
 
-    /// Install a pluggable UL workload behind a queue.
+    /// Install a UL workload behind a queue (default: full buffer).
     pub fn set_ul_workload(&mut self, workload: Box<dyn Workload>, queue: QueueConfig) {
         self.ul_flow = Flow::pipeline(workload, queue);
     }
@@ -468,12 +454,10 @@ mod tests {
 
     #[test]
     fn cbr_traffic_caps_delivered_rate() {
-        use crate::traffic::TrafficSource;
         // A 100 Mbps CBR source over a channel that could carry several
         // hundred: goodput tracks the offered load, not the capacity.
         let (mut c, pos) = carrier(90, 70.0, 21);
-        let seeds = radio_channel::rng::SeedTree::new(21);
-        c.set_dl_traffic(TrafficSource::Cbr { rate_mbps: 100.0 }, &seeds);
+        c.set_dl_workload(Box::new(crate::workload::Cbr::new(100.0)), QueueConfig::unbounded());
         let mut trace = crate::kpi::KpiTrace::new();
         for _ in 0..20_000 {
             trace.push(c.step(pos, 0.0, TrafficPattern::DL, false, 1.0, 1.0).dl);
@@ -494,10 +478,13 @@ mod tests {
 
     #[test]
     fn finite_transfer_drains_and_goes_quiet() {
-        use crate::traffic::TrafficSource;
+        use crate::workload::{RtcConfig, RtcFrames};
+        // One 100 Mbit frame released at t = 0; at 0.01 fps the next one
+        // is due at 100 s, far past the run's 10 s.
         let (mut c, pos) = carrier(90, 70.0, 22);
-        let seeds = radio_channel::rng::SeedTree::new(22);
-        c.set_dl_traffic(TrafficSource::Finite { total_megabits: 100.0 }, &seeds);
+        let transfer = RtcFrames::new(RtcConfig { rate_mbps: 1.0, fps: 0.01 });
+        assert_eq!(transfer.frame_bits(), 100_000_000);
+        c.set_dl_workload(Box::new(transfer), QueueConfig::unbounded());
         let mut delivered = 0u64;
         let mut quiet_slots = 0u32;
         for _ in 0..20_000 {

@@ -47,7 +47,6 @@ use crate::kpi::{Direction, KpiTrace, SlotKpi};
 use crate::leg::{self, BlerDraws, SlotCounters, SlotCtx, UeLeg};
 use crate::queue::QueueConfig;
 use crate::scheduler::{self, SchedulerPolicy};
-use crate::traffic::TrafficSource;
 use crate::workload::Workload;
 use nr_phy::cqi::Cqi;
 use nr_phy::csi::{CsiReport, DEFAULT_CSI_PERIOD_SLOTS};
@@ -298,14 +297,6 @@ impl CellSim {
     /// Override the CSI reporting period in slots.
     pub fn set_csi_period(&mut self, slots: u64) {
         self.csi_period = slots.max(1);
-    }
-
-    /// Replace UE `ue`'s DL traffic source with a legacy closed-enum
-    /// source (default: full buffer). `seeds` should be the tree the
-    /// cell was built with.
-    pub fn set_dl_traffic(&mut self, ue: usize, source: TrafficSource, seeds: &SeedTree) {
-        let ue_seeds = seeds.child_indexed("ue", ue as u64);
-        self.dl_flows[ue] = Flow::legacy(source, &ue_seeds, "dl");
     }
 
     /// Install a pluggable DL workload behind a gNB queue for UE `ue`.

@@ -1,15 +1,14 @@
 //! [`Flow`]: the per-direction traffic leg a carrier drives each slot.
 //!
-//! A flow is either the legacy closed-enum path
-//! ([`crate::traffic::TrafficState`], kept for the CBR/Poisson/finite
-//! sources and as the pre-refactor reference the byte-identity proptests
-//! compare against) or the open pipeline: a [`Workload`] releasing bits
-//! into a [`GnbQueue`], drained into transport blocks by the scheduler,
-//! with per-TB outcomes fed back to the workload.
+//! Every flow is one pipeline: a [`Workload`] releasing bits into a
+//! [`GnbQueue`], drained into transport blocks by the scheduler, with
+//! per-TB outcomes fed back to the workload. Full-buffer iPerf, CBR
+//! offered load, cwnd transports and RTC frames differ only in the
+//! workload.
 //!
 //! # HARQ coupling
 //!
-//! The pipeline keeps one `TbMeta` per in-flight transport block, in a
+//! The flow keeps one `TbMeta` per in-flight transport block, in a
 //! FIFO that mirrors [`crate::harq::HarqEntity`]'s pending queue
 //! operation for operation: `compose_tb` creates the current TB's meta,
 //! a failed-but-retained TB pushes it back ([`Flow::fail_deferred`]), a
@@ -18,26 +17,21 @@
 //! for a retransmission always describes the block HARQ popped — no ids
 //! needed, no allocation in steady state beyond the two deques.
 //!
-//! # Byte identity
+//! # Saturating flows
 //!
-//! The default flow is `Pipeline(FullBuffer)`: saturating offers bypass
-//! the queue, fill every grant to its full TBS, draw no randomness and
-//! emit zero queue-depth/sojourn KPI fields — exactly the observable
-//! behaviour of the legacy full-buffer `TrafficState`. That is what
-//! makes the trait refactor invisible to the determinism harness, the
-//! `cell_props` equivalence suite and every figure.
+//! The default flow runs [`crate::workload::FullBuffer`]: saturating
+//! offers bypass the queue, fill every grant to its full TBS, draw no
+//! randomness and emit zero queue-depth/sojourn KPI fields. The golden
+//! full-buffer rows (`tests/golden.rs`) pin that output.
 
 use crate::queue::{GnbQueue, QueueConfig};
-use crate::traffic::{TrafficSource, TrafficState};
 use crate::workload::{Offer, Workload, WorkloadStats};
 use obs::{Counter, Gauge};
-use radio_channel::rng::SeedTree;
 use std::collections::VecDeque;
 
-/// Cached obs handles for queue telemetry. Resolved once per pipeline so
-/// the per-slot path is pure atomic stores; the saturating (full-buffer)
-/// path never touches them, keeping the hot loop identical to the
-/// pre-refactor one.
+/// Cached obs handles for queue telemetry. Resolved once per flow so the
+/// per-slot path is pure atomic stores; the saturating (full-buffer)
+/// path never touches them.
 #[derive(Debug, Clone, Copy)]
 struct QueueMetrics {
     /// Last observed depth, bits (last-writer-wins across UEs).
@@ -71,8 +65,9 @@ struct TbMeta {
     composed_s: f64,
 }
 
+/// One direction's traffic leg (see the module docs).
 #[derive(Debug, Clone)]
-struct Pipeline {
+pub struct Flow {
     workload: Box<dyn Workload>,
     queue: GnbQueue,
     /// Whether the last offer was [`Offer::Saturating`].
@@ -84,123 +79,65 @@ struct Pipeline {
     metrics: QueueMetrics,
 }
 
-#[derive(Debug, Clone)]
-enum Mode {
-    Direct(TrafficState),
-    Pipeline(Box<Pipeline>),
-}
-
-/// One direction's traffic leg (see the module docs).
-#[derive(Debug, Clone)]
-pub struct Flow {
-    mode: Mode,
-}
-
 impl Flow {
     /// The default flow: the saturating [`crate::workload::FullBuffer`]
-    /// workload routed through the trait pipeline.
+    /// workload.
     pub fn full_buffer() -> Self {
         Flow::pipeline(Box::new(crate::workload::FullBuffer::default()), QueueConfig::unbounded())
     }
 
-    /// The legacy closed-enum path — the pre-refactor reference, and
-    /// still the implementation behind `set_dl_traffic`-style APIs.
-    pub fn legacy(source: TrafficSource, seeds: &SeedTree, label: &'static str) -> Self {
-        Flow { mode: Mode::Direct(TrafficState::new(source, seeds, label)) }
-    }
-
-    /// A workload + queue pipeline flow.
+    /// A workload + queue flow.
     pub fn pipeline(workload: Box<dyn Workload>, queue: QueueConfig) -> Self {
         Flow {
-            mode: Mode::Pipeline(Box::new(Pipeline {
-                workload,
-                queue: GnbQueue::new(queue),
-                saturating: true,
-                // Mirrors HarqEntity's minimum pending-queue reservation,
-                // keeping the slot loop allocation-free in steady state.
-                pending: VecDeque::with_capacity(16),
-                current: TbMeta::default(),
-                metrics: QueueMetrics::new(),
-            })),
+            workload,
+            queue: GnbQueue::new(queue),
+            saturating: true,
+            // Mirrors HarqEntity's minimum pending-queue reservation,
+            // keeping the slot loop allocation-free in steady state.
+            pending: VecDeque::with_capacity(16),
+            current: TbMeta::default(),
+            metrics: QueueMetrics::new(),
         }
     }
 
-    /// Advance the source by one slot: legacy sources accrue arrivals,
-    /// pipeline workloads offer bits into the queue (drops feed back as
-    /// congestion signals).
+    /// Advance the workload by one slot: it offers bits into the queue
+    /// (drops feed back as congestion signals).
     pub fn advance(&mut self, now_s: f64, dt_s: f64) {
-        match &mut self.mode {
-            Mode::Direct(ts) => ts.arrive(dt_s),
-            Mode::Pipeline(p) => match p.workload.offer(now_s, dt_s) {
-                Offer::Saturating => p.saturating = true,
-                Offer::Bits(bits) => {
-                    p.saturating = false;
-                    if bits > 0 {
-                        let dropped = p.queue.enqueue(bits, now_s);
-                        if dropped > 0 {
-                            p.metrics.dropped_bits.add(dropped);
-                            p.workload.on_queue_drop(now_s, dropped);
-                        }
-                        let depth = p.queue.bits().min(i64::MAX as u64) as i64;
-                        p.metrics.depth_bits.set(depth);
-                        p.metrics.peak_bits.raise_to(depth);
+        match self.workload.offer(now_s, dt_s) {
+            Offer::Saturating => self.saturating = true,
+            Offer::Bits(bits) => {
+                self.saturating = false;
+                if bits > 0 {
+                    let dropped = self.queue.enqueue(bits, now_s);
+                    if dropped > 0 {
+                        self.metrics.dropped_bits.add(dropped);
+                        self.workload.on_queue_drop(now_s, dropped);
                     }
+                    let depth = self.queue.bits().min(i64::MAX as u64) as i64;
+                    self.metrics.depth_bits.set(depth);
+                    self.metrics.peak_bits.raise_to(depth);
                 }
-            },
+            }
         }
     }
 
-    /// Whether the leg has anything to schedule.
-    pub fn has_data(&self) -> bool {
-        match &self.mode {
-            Mode::Direct(ts) => ts.has_data(),
-            Mode::Pipeline(p) => p.saturating || !p.queue.is_empty(),
-        }
-    }
-
-    /// Whether the leg deserves a grant this slot. Like `has_data`, but a
-    /// pipeline flow also stays schedulable while a HARQ retransmission is
-    /// ready (`harq_ready`): a cwnd transport whose whole window sits in a
-    /// failed transport block has an empty queue, and without this the
+    /// Whether the leg deserves a grant this slot: it saturates, holds
+    /// queued bits, or has a HARQ retransmission ready (`harq_ready`). A
+    /// cwnd transport whose whole window sits in a failed transport block
+    /// has an empty queue, and without the last clause the
     /// retransmission would never get a grant and the window would never
-    /// free — a permanent stall. Direct (legacy) flows ignore `harq_ready`
-    /// so their scheduling is bit-for-bit what it was before the pipeline
-    /// existed.
+    /// free — a permanent stall.
     pub fn needs_grant(&self, harq_ready: bool) -> bool {
-        match &self.mode {
-            Mode::Direct(ts) => ts.has_data(),
-            Mode::Pipeline(p) => p.saturating || !p.queue.is_empty() || harq_ready,
-        }
+        self.saturating || !self.queue.is_empty() || harq_ready
     }
 
     /// Backlog awaiting transmission, bits (`INFINITY` for saturating
     /// flows) — the Little's-law numerator the load-sweep figure uses.
     pub fn backlog_bits(&self) -> f64 {
-        match &self.mode {
-            Mode::Direct(ts) => ts.backlog_bits(),
-            Mode::Pipeline(p) => {
-                if p.saturating {
-                    f64::INFINITY
-                } else {
-                    p.queue.bits() as f64
-                }
-            }
-        }
-    }
-
-    /// Fraction of a full transport block the backlog could fill.
-    pub fn demand_share(&self, full_tbs_bits: u32) -> f64 {
-        match &self.mode {
-            Mode::Direct(ts) => ts.demand_share(full_tbs_bits),
-            Mode::Pipeline(p) => {
-                if p.saturating {
-                    1.0
-                } else if full_tbs_bits == 0 {
-                    0.0
-                } else {
-                    (p.queue.bits() as f64 / f64::from(full_tbs_bits)).clamp(0.0, 1.0)
-                }
-            }
+        if self.saturating {
+            f64::INFINITY
+        } else {
+            self.queue.bits() as f64
         }
     }
 
@@ -208,110 +145,71 @@ impl Flow {
     /// saturating flows fill the grant, queued flows drain the queue
     /// (applying AQM head drops). Returns the TB size in bits.
     pub fn compose_tb(&mut self, full_tbs_bits: u32, now_s: f64) -> u32 {
-        match &mut self.mode {
-            Mode::Direct(ts) => ts.consume(full_tbs_bits),
-            Mode::Pipeline(p) => {
-                if p.saturating {
-                    p.current = TbMeta { sojourn_s: 0.0, composed_s: now_s };
-                    full_tbs_bits
-                } else {
-                    let d = p.queue.dequeue(full_tbs_bits, now_s);
-                    if d.aqm_dropped_bits > 0 {
-                        p.metrics.dropped_bits.add(d.aqm_dropped_bits);
-                        p.workload.on_queue_drop(now_s, d.aqm_dropped_bits);
-                    }
-                    p.metrics.depth_bits.set(p.queue.bits().min(i64::MAX as u64) as i64);
-                    p.metrics.sojourn_peak_us.raise_to((d.sojourn_s * 1e6) as i64);
-                    p.current = TbMeta { sojourn_s: d.sojourn_s, composed_s: now_s };
-                    d.bits
-                }
-            }
+        if self.saturating {
+            self.current = TbMeta { sojourn_s: 0.0, composed_s: now_s };
+            return full_tbs_bits;
         }
+        let d = self.queue.dequeue(full_tbs_bits, now_s);
+        if d.aqm_dropped_bits > 0 {
+            self.metrics.dropped_bits.add(d.aqm_dropped_bits);
+            self.workload.on_queue_drop(now_s, d.aqm_dropped_bits);
+        }
+        self.metrics.depth_bits.set(self.queue.bits().min(i64::MAX as u64) as i64);
+        self.metrics.sojourn_peak_us.raise_to((d.sojourn_s * 1e6) as i64);
+        self.current = TbMeta { sojourn_s: d.sojourn_s, composed_s: now_s };
+        d.bits
     }
 
     /// A HARQ retransmission of the oldest pending TB is starting: adopt
     /// its meta as current (mirror of `HarqEntity::pop_ready`).
     pub fn begin_retx(&mut self) {
-        if let Mode::Pipeline(p) = &mut self.mode {
-            p.current = p.pending.pop_front().unwrap_or_default();
-        }
+        self.current = self.pending.pop_front().unwrap_or_default();
     }
 
     /// The current TB decoded: feed delivery (with queue sojourn + HARQ
     /// air time) back to the workload.
     pub fn complete_delivered(&mut self, now_s: f64, delivered_bits: u32) {
-        if let Mode::Pipeline(p) = &mut self.mode {
-            let delay_s = p.current.sojourn_s + (now_s - p.current.composed_s);
-            p.workload.on_delivered(now_s, delivered_bits, delay_s);
-        }
+        let delay_s = self.current.sojourn_s + (now_s - self.current.composed_s);
+        self.workload.on_delivered(now_s, delivered_bits, delay_s);
     }
 
     /// The current TB failed but HARQ retained it: park its meta (mirror
     /// of `HarqEntity::record_failure`'s push).
     pub fn fail_deferred(&mut self) {
-        if let Mode::Pipeline(p) = &mut self.mode {
-            p.pending.push_back(p.current);
-        }
+        self.pending.push_back(self.current);
     }
 
     /// The current TB failed terminally (HARQ retry budget exhausted):
     /// its bits are lost.
     pub fn fail_dropped(&mut self, now_s: f64, tbs_bits: u32) {
-        if let Mode::Pipeline(p) = &mut self.mode {
-            p.workload.on_lost(now_s, tbs_bits);
-        }
+        self.workload.on_lost(now_s, tbs_bits);
     }
 
-    /// Queue depth after the last compose, bits (0 for legacy/saturating
-    /// flows) — the `queue_bits` KPI field.
+    /// Queue depth after the last compose, bits (0 for saturating flows)
+    /// — the `queue_bits` KPI field.
     pub fn queue_bits(&self) -> u32 {
-        match &self.mode {
-            Mode::Direct(_) => 0,
-            Mode::Pipeline(p) => p.queue.bits().min(u64::from(u32::MAX)) as u32,
-        }
+        self.queue.bits().min(u64::from(u32::MAX)) as u32
     }
 
     /// Queue sojourn of the current TB's bits, milliseconds (0 for
-    /// legacy/saturating flows) — the `queue_delay_ms` KPI field.
+    /// saturating flows) — the `queue_delay_ms` KPI field.
     pub fn queue_delay_ms(&self) -> f64 {
-        match &self.mode {
-            Mode::Direct(_) => 0.0,
-            Mode::Pipeline(p) => p.current.sojourn_s * 1e3,
-        }
+        self.current.sojourn_s * 1e3
     }
 
-    /// The legacy source, when this flow is on the legacy path.
-    pub fn source(&self) -> Option<TrafficSource> {
-        match &self.mode {
-            Mode::Direct(ts) => Some(ts.source()),
-            Mode::Pipeline(_) => None,
-        }
-    }
-
-    /// Workload counters (zeros for legacy flows).
+    /// Workload counters.
     pub fn workload_stats(&self) -> WorkloadStats {
-        match &self.mode {
-            Mode::Direct(_) => WorkloadStats::default(),
-            Mode::Pipeline(p) => p.workload.stats(),
-        }
+        self.workload.stats()
     }
 
-    /// Queue drop/depth counters as `(drops, dropped_bits, enqueued_bits)`
-    /// (zeros for legacy flows).
+    /// Queue drop/depth counters as `(drops, dropped_bits, enqueued_bits)`.
     pub fn queue_counters(&self) -> (u64, u64, u64) {
-        match &self.mode {
-            Mode::Direct(_) => (0, 0, 0),
-            Mode::Pipeline(p) => {
-                (p.queue.drops(), p.queue.dropped_bits(), p.queue.enqueued_bits())
-            }
-        }
+        (self.queue.drops(), self.queue.dropped_bits(), self.queue.enqueued_bits())
     }
 
     /// Drain accumulated per-unit delay samples (ms) from the workload.
     pub fn take_delay_samples(&mut self, out: &mut Vec<f64>) {
-        if let Mode::Pipeline(p) = &mut self.mode {
-            p.workload.take_delay_samples(out);
-        }
+        self.workload.take_delay_samples(out);
     }
 }
 
@@ -327,32 +225,13 @@ mod tests {
     use crate::workload::{RtcConfig, RtcFrames};
 
     #[test]
-    fn full_buffer_pipeline_mirrors_legacy_observables() {
-        let seeds = SeedTree::new(7);
-        let mut legacy = Flow::legacy(TrafficSource::FullBuffer, &seeds, "traffic/dl");
-        let mut pipe = Flow::full_buffer();
-        for slot in 0..200u64 {
-            let now = slot as f64 * 0.0005;
-            legacy.advance(now, 0.0005);
-            pipe.advance(now, 0.0005);
-            assert_eq!(legacy.has_data(), pipe.has_data());
-            assert_eq!(legacy.backlog_bits(), pipe.backlog_bits());
-            assert_eq!(legacy.demand_share(500_000), pipe.demand_share(500_000));
-            assert_eq!(legacy.compose_tb(123_456, now), pipe.compose_tb(123_456, now));
-            assert_eq!(legacy.queue_bits(), pipe.queue_bits());
-            assert_eq!(legacy.queue_delay_ms(), pipe.queue_delay_ms());
-            pipe.complete_delivered(now, 123_456);
-        }
-    }
-
-    #[test]
     fn pending_metas_mirror_harq_fifo_order() {
         // Three TBs composed at distinct times; fail the first two, then
         // retransmit: the metas must come back in composition order.
         let mut flow =
             Flow::pipeline(Box::new(RtcFrames::new(RtcConfig::default())), QueueConfig::unbounded());
         flow.advance(0.0, 0.020); // release a frame's worth of bits
-        assert!(flow.has_data());
+        assert!(flow.needs_grant(false));
 
         let t0 = 0.001;
         flow.compose_tb(40_000, t0);
@@ -380,7 +259,6 @@ mod tests {
         flow.advance(0.0, 0.0005); // t=0 frame: 120 kbit queued
         assert_eq!(flow.queue_bits(), 120_000);
         assert!((flow.backlog_bits() - 120_000.0).abs() < 1e-9);
-        assert!((flow.demand_share(240_000) - 0.5).abs() < 1e-12);
         let tb = flow.compose_tb(48_000, 0.004);
         assert_eq!(tb, 48_000);
         assert_eq!(flow.queue_bits(), 72_000);

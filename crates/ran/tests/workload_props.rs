@@ -1,55 +1,20 @@
-//! The workload/transport pipeline contract (ISSUE 9).
+//! The workload/transport pipeline contract.
 //!
-//! Three property groups pin the pipeline refactor down:
+//! Two property groups pin it down (the golden rows in `tests/golden.rs`
+//! pin the default full-buffer output bits):
 //!
-//! 1. **Byte identity** — the default `Pipeline(FullBuffer)` flow replays
-//!    the pre-refactor `TrafficSource::FullBuffer` path byte for byte, on
-//!    a single [`Carrier`] and across a contended [`CellSim`], because a
-//!    saturating offer bypasses the queue, draws no randomness and emits
-//!    zero queue KPI fields.
-//! 2. **Thread independence** — full-buffer *and* cwnd+CoDel sessions
+//! 1. **Thread independence** — full-buffer, cwnd+CoDel and RTC sessions
 //!    split across {1, 2, 8} worker threads produce exactly the traces of
 //!    the serial run: workloads and queues keep no global state.
-//! 3. **CoDel purity** — every queue decision (drops, dropped bits, the
+//! 2. **CoDel purity** — every queue decision (drops, dropped bits, the
 //!    full KPI stream) is a pure function of the session seed: two runs
 //!    from the same seed are indistinguishable, counters included.
 
-use radio_channel::channel::{ChannelConfig, ChannelSimulator};
-use radio_channel::geometry::{DeploymentLayout, Position};
-use radio_channel::link::LinkModel;
-use radio_channel::mobility::MobilityModel;
 use radio_channel::rng::SeedTree;
-use ran::carrier::{Carrier, TrafficPattern};
 use ran::cell::{CellParams, CellSim, UeSpec};
-use ran::config::CellConfig;
 use ran::kpi::KpiTrace;
 use ran::scheduler::SchedulerPolicy;
-use ran::traffic::TrafficSource;
 use ran::workload::{AqmSpec, WorkloadSpec};
-
-fn carrier_at(pos: Position, seed: u64) -> Carrier {
-    let seeds = SeedTree::new(seed);
-    let cfg = CellConfig::midband(90, "DDDSU");
-    let channel = ChannelSimulator::new(
-        ChannelConfig::midband_urban(cfg.n_rb),
-        DeploymentLayout::single_site(),
-        MobilityModel::Stationary { position: pos },
-        &seeds,
-    );
-    Carrier::new(cfg, 0, channel, LinkModel::midband_qam256(), &seeds)
-}
-
-fn carrier_trace(mut carrier: Carrier, pos: Position, slots: u64) -> KpiTrace {
-    let mut trace = KpiTrace::new();
-    for _ in 0..slots {
-        let out = carrier.step(pos, 0.0, TrafficPattern::BOTH, true, 1.0, 1.0);
-        trace.push(out.dl);
-        if let Some(ul) = out.ul {
-            trace.push(ul);
-        }
-    }
-    trace
-}
 
 fn ues_at(distances: &[f64]) -> Vec<UeSpec> {
     distances.iter().map(|&d| UeSpec::at(d, 0.0)).collect()
@@ -75,48 +40,7 @@ fn cell_traces(seed: u64, spec: Option<WorkloadSpec>, slots: u64) -> Vec<KpiTrac
 }
 
 // ---------------------------------------------------------------------------
-// 1. Byte identity with the pre-refactor path
-// ---------------------------------------------------------------------------
-
-#[test]
-fn full_buffer_pipeline_replays_the_legacy_carrier_byte_for_byte() {
-    let pos = Position::new(95.0, 0.0);
-    // Reference: the closed-enum path the repo shipped before the
-    // pipeline existed, installed explicitly on both legs.
-    let seeds = SeedTree::new(90);
-    let mut legacy = carrier_at(pos, 90);
-    legacy.set_dl_traffic(TrafficSource::FullBuffer, &seeds);
-    legacy.set_ul_traffic(TrafficSource::FullBuffer, &seeds);
-    // Candidate: the default flow, `Pipeline(FullBuffer)`.
-    let pipeline = carrier_at(pos, 90);
-    assert!(pipeline.dl_traffic().source().is_none(), "default flow is the pipeline");
-
-    let reference = carrier_trace(legacy, pos, 8_000);
-    let candidate = carrier_trace(pipeline, pos, 8_000);
-    assert_eq!(candidate, reference, "Pipeline(FullBuffer) diverged from the legacy path");
-}
-
-#[test]
-fn full_buffer_pipeline_replays_the_legacy_cell_byte_for_byte() {
-    let seeds = SeedTree::new(91);
-    let mut legacy_sim = CellSim::new(
-        CellParams::midband(60, SchedulerPolicy::ProportionalFair),
-        &ues_at(&DISTANCES),
-        &seeds,
-    );
-    for ue in 0..DISTANCES.len() {
-        legacy_sim.set_dl_traffic(ue, TrafficSource::FullBuffer, &seeds.child_indexed("t", ue as u64));
-    }
-    let reference = legacy_sim.run(6_000);
-    let candidate = cell_traces(91, None, 6_000);
-    assert_eq!(
-        candidate, reference,
-        "Pipeline(FullBuffer) cell diverged from the legacy cell"
-    );
-}
-
-// ---------------------------------------------------------------------------
-// 2. Thread independence
+// 1. Thread independence
 // ---------------------------------------------------------------------------
 
 /// Run `seeds` sessions under `spec` split across `threads` workers and
@@ -159,7 +83,7 @@ fn sessions_are_identical_across_thread_counts() {
 }
 
 // ---------------------------------------------------------------------------
-// 3. CoDel purity
+// 2. CoDel purity
 // ---------------------------------------------------------------------------
 
 #[test]
