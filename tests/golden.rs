@@ -20,6 +20,7 @@ use midband5g::measure::campaign::{
 use midband5g::measure::dist::{run_distributed, DistConfig, DistJob};
 use midband5g::measure::executor::Executor;
 use midband5g::measure::fault::FaultConfig;
+use midband5g::measure::iperf;
 use midband5g::measure::loadsweep::CellLoadSweep;
 use midband5g::measure::session::{MobilityKind, SessionResult, SessionSpec};
 use midband5g::measure::{Dataset, DEFAULT_RETRY_BUDGET};
@@ -34,7 +35,7 @@ use midband5g::radio_channel::shadowing::{ShadowingConfig, ShadowingProcess};
 use midband5g::ran::carrier::{Carrier, TrafficPattern};
 use midband5g::ran::cell::{CellParams, CellSim, CellSink, UeSpec};
 use midband5g::ran::config::CellConfig;
-use midband5g::ran::kpi::{Direction, SlotKpi};
+use midband5g::ran::kpi::{Direction, KpiTrace, SlotKpi};
 use midband5g::ran::scheduler::SchedulerPolicy::{
     self, EqualShare, MaxCqi, ProportionalFair, RoundRobinSlots,
 };
@@ -177,6 +178,81 @@ fn session_digests_are_unchanged() {
         }
     }
     assert!(failures.is_empty(), "golden session digests moved:\n{}", failures.join("\n"));
+}
+
+fn hash_opt(h: &mut Fnv, x: Option<f64>) {
+    match x {
+        Some(v) => {
+            h.word(1);
+            h.f64(v);
+        }
+        None => h.word(0),
+    }
+}
+
+/// The trace scans a [`KpiTrace`] and its carrier views share:
+/// duration, mean goodput, the binned series and the CQI-conditioned
+/// goodput of Figs. 2, 9 and 10, both directions.
+macro_rules! hash_scans {
+    ($h:expr, $t:expr) => {{
+        $h.f64($t.duration_s());
+        for dir in [Direction::Dl, Direction::Ul] {
+            $h.f64($t.mean_throughput_mbps(dir));
+            for bin_s in [1.0, 0.1] {
+                let series = $t.throughput_series_mbps(dir, bin_s);
+                $h.word(series.len() as u64);
+                for v in series {
+                    $h.f64(v);
+                }
+            }
+            hash_opt($h, $t.mean_throughput_mbps_where_cqi(dir, 0.1, 12));
+            hash_opt($h, $t.mean_throughput_mbps_where_cqi_below(dir, 0.1, 10));
+        }
+    }};
+}
+
+/// Every analytic a whole trace answers.
+fn hash_analytics(h: &mut Fnv, t: &KpiTrace) {
+    hash_scans!(h, t);
+    let shares = t.modulation_shares();
+    h.word(shares.len() as u64);
+    for (m, share) in shares {
+        h.word(m.bits_per_symbol() as u64);
+        h.f64(share);
+    }
+    for share in t.layer_shares() {
+        h.f64(share);
+    }
+    h.f64(t.dl_bler());
+    h.f64(t.mean_cqi());
+    let res = t.dl_re_allocations();
+    h.word(res.len() as u64);
+    for re in res {
+        h.word(re as u64);
+    }
+}
+
+/// The analytics behind the paper's figures, over the seven sessions of
+/// [`session_table`]: each whole trace, then its NR-only and LTE-only
+/// views (the two T-Mobile sessions carry the LTE UL leg). A view is
+/// hashed through its own scans and, for the analytics only a whole
+/// trace has, through its materialised `to_trace()`.
+#[test]
+fn trace_analytics_digest_is_unchanged() {
+    let mut h = Fnv::new();
+    let mut lte_records = 0;
+    for (_, spec, _, _) in session_table() {
+        let trace = SessionResult::run(spec).trace;
+        hash_analytics(&mut h, &trace);
+        lte_records += iperf::lte_only(&trace).len();
+        for view in [iperf::nr_only(&trace), iperf::lte_only(&trace)] {
+            h.word(view.len() as u64);
+            hash_scans!(&mut h, view);
+            hash_analytics(&mut h, &view.to_trace());
+        }
+    }
+    assert!(lte_records > 0, "no session carries an LTE leg");
+    assert_eq!(h.0, 0xe29f_f8dd_fefc_13f6, "golden trace-analytics digest moved: {:#018x}", h.0);
 }
 
 /// The Gaussian innovation streams behind shadowing and fading. Both
