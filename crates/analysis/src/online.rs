@@ -14,7 +14,9 @@
 //! [`OnlineAggregates::merge`] of per-session aggregates in spec order
 //! reproduces the sequential result byte for byte.
 
-use ran::kpi::{modulation_code, modulation_from_code, Direction, Modulation, SlotKpi};
+use ran::kpi::{
+    bin_count, modulation_code, modulation_from_code, slot_end_s, Direction, Modulation, SlotKpi,
+};
 use ran::sink::SlotSink;
 use serde::{Deserialize, Serialize};
 
@@ -34,7 +36,7 @@ pub struct OnlineAggregates {
     bin_s: f64,
     /// Records consumed.
     records: u64,
-    /// Largest inferred slot-end time (`time_s + time_s / slot`).
+    /// Largest inferred slot end ([`ran::kpi::slot_end_s`]).
     max_end_s: f64,
     /// Largest raw `time_s` (duration fallback for slot-0-only streams).
     max_time_s: f64,
@@ -103,8 +105,8 @@ impl OnlineAggregates {
         self.records
     }
 
-    /// Stream duration, seconds — the end of the latest slot seen, same
-    /// inference as `KpiTrace::duration_s`.
+    /// Stream duration, seconds — the end of the latest slot seen, by the
+    /// same [`slot_end_s`] rule as [`ran::kpi::KpiTrace::duration_s`].
     pub fn duration_s(&self) -> f64 {
         if self.max_end_s > 0.0 {
             self.max_end_s
@@ -121,7 +123,8 @@ impl OnlineAggregates {
         }
     }
 
-    /// Mean goodput, Mbps — matches `KpiTrace::mean_throughput_mbps`.
+    /// Mean goodput, Mbps — matches
+    /// [`ran::kpi::KpiTrace::mean_throughput_mbps`].
     pub fn mean_throughput_mbps(&self, direction: Direction) -> f64 {
         let dur = self.duration_s();
         if dur <= 0.0 {
@@ -131,7 +134,8 @@ impl OnlineAggregates {
     }
 
     /// Binned throughput series, Mbps — matches
-    /// `KpiTrace::throughput_series_mbps` at the configured bin width.
+    /// [`ran::kpi::KpiTrace::throughput_series_mbps`] at the configured
+    /// bin width, with the same [`bin_count`].
     pub fn throughput_series_mbps(&self, direction: Direction) -> Vec<f64> {
         let bins = match direction {
             Direction::Dl => &self.dl_bin_bits,
@@ -145,7 +149,7 @@ impl OnlineAggregates {
 
     /// Fraction of DL new-data grants per modulation order, ascending
     /// modulation code, omitting unused orders — matches
-    /// `KpiTrace::modulation_shares`.
+    /// [`ran::kpi::KpiTrace::modulation_shares`].
     pub fn modulation_shares(&self) -> Vec<(Modulation, f64)> {
         let grants: u64 = self.modulation_grants.iter().sum();
         if grants == 0 {
@@ -164,7 +168,7 @@ impl OnlineAggregates {
     }
 
     /// Fraction of scheduled DL slots per MIMO layer count, indexed
-    /// `[unused, 1, 2, 3, 4]` — matches `KpiTrace::layer_shares`.
+    /// `[unused, 1, 2, 3, 4]` — matches [`ran::kpi::KpiTrace::layer_shares`].
     pub fn layer_shares(&self) -> [f64; 5] {
         let mut shares = [0.0; 5];
         if self.dl_scheduled > 0 {
@@ -176,7 +180,7 @@ impl OnlineAggregates {
     }
 
     /// Block-error rate over scheduled DL slots — matches
-    /// `KpiTrace::dl_bler`.
+    /// [`ran::kpi::KpiTrace::dl_bler`].
     pub fn dl_bler(&self) -> f64 {
         if self.dl_scheduled == 0 {
             0.0
@@ -185,7 +189,7 @@ impl OnlineAggregates {
         }
     }
 
-    /// Mean CQI over all records — matches `KpiTrace::mean_cqi`.
+    /// Mean CQI over all records — matches [`ran::kpi::KpiTrace::mean_cqi`].
     pub fn mean_cqi(&self) -> f64 {
         if self.records == 0 {
             0.0
@@ -300,7 +304,7 @@ impl OnlineAggregates {
         if dur <= 0.0 {
             0
         } else {
-            ((dur / self.bin_s).ceil() as usize).max(1)
+            bin_count(dur, self.bin_s)
         }
     }
 
@@ -313,8 +317,7 @@ impl SlotSink for OnlineAggregates {
     fn push(&mut self, kpi: &SlotKpi) {
         debug_assert!(!self.finished, "push after finish violates the SlotSink contract");
         self.records += 1;
-        if kpi.slot > 0 {
-            let end = kpi.time_s + kpi.time_s / kpi.slot as f64;
+        if let Some(end) = slot_end_s(kpi.slot, kpi.time_s) {
             if end > self.max_end_s {
                 self.max_end_s = end;
             }

@@ -24,9 +24,10 @@ pub fn run_iperf(
 
 /// Strip the LTE UL leg from a trace, leaving NR-only records — what the
 /// paper's per-channel UL analysis (Figs. 9/10) isolates. Returns a
-/// borrowed view ([`FilteredTrace`]); nothing is copied, and throughput
-/// aggregations on the view match the formerly-materialised subset
-/// exactly. Call `.to_trace()` for an owned copy.
+/// borrowed view ([`FilteredTrace`]); nothing is copied. Its duration
+/// and throughput analytics are `KpiTrace`'s own scans restricted to the
+/// NR carriers, so they equal the same call on `.to_trace()`, the owned
+/// copy.
 pub fn nr_only(trace: &KpiTrace) -> FilteredTrace<'_> {
     trace.filter_carrier_not(LTE_CARRIER_INDEX)
 }

@@ -124,6 +124,45 @@ mod reference {
         bits.into_iter().map(|b| b as f64 / bin_s / 1e6).collect()
     }
 
+    /// Delivered bits in the `bin_s` bins whose mean CQI (over the
+    /// records of both directions) is `>= threshold` (`at_least`) or
+    /// `< threshold`, over those bins' total time.
+    pub fn mean_throughput_mbps_where_cqi(
+        records: &[SlotKpi],
+        dir: Direction,
+        bin_s: f64,
+        threshold: u8,
+        at_least: bool,
+    ) -> Option<f64> {
+        let dur = duration_s(records);
+        if dur <= 0.0 || bin_s <= 0.0 {
+            return None;
+        }
+        let n_bins = ((dur / bin_s).ceil() as usize).max(1);
+        let mut bits = vec![0u64; n_bins];
+        let mut cqis: Vec<Vec<u8>> = vec![Vec::new(); n_bins];
+        for r in records {
+            let bin = ((r.time_s / bin_s) as usize).min(n_bins - 1);
+            cqis[bin].push(r.cqi);
+            if r.direction == dir {
+                bits[bin] += u64::from(r.delivered_bits);
+            }
+        }
+        let kept: Vec<usize> = (0..n_bins)
+            .filter(|&b| !cqis[b].is_empty())
+            .filter(|&b| {
+                let sum: u64 = cqis[b].iter().map(|&q| u64::from(q)).sum();
+                let mean = sum as f64 / cqis[b].len() as f64;
+                (mean >= f64::from(threshold)) == at_least
+            })
+            .collect();
+        if kept.is_empty() {
+            return None;
+        }
+        let total: u64 = kept.iter().map(|&b| bits[b]).sum();
+        Some(total as f64 / (kept.len() as f64 * bin_s) / 1e6)
+    }
+
     pub fn dl_bler(records: &[SlotKpi]) -> f64 {
         let sched: Vec<&SlotKpi> = records
             .iter()
@@ -188,14 +227,63 @@ proptest! {
         }
         prop_assert!((trace.dl_bler() - reference::dl_bler(&records)).abs() < 1e-12);
         prop_assert_eq!(trace.layer_shares(), reference::layer_shares(&records));
+    }
 
-        // CQI filter views partition the trace.
-        let good = trace.filter_cqi_at_least(10);
-        let bad = trace.filter_cqi_below(10);
-        prop_assert_eq!(good.len() + bad.len(), trace.len());
-        prop_assert!(good.iter().all(|r| r.cqi >= 10));
-        prop_assert!(bad.iter().all(|r| r.cqi < 10));
-        prop_assert_eq!(good.to_trace().len(), good.len());
+    /// For every carrier index `gen_records` draws, the views of that
+    /// carrier and of all others partition the trace, and each view's
+    /// duration, mean goodput, series and CQI-conditioned goodput are the
+    /// reference answers over the view's own records.
+    #[test]
+    fn carrier_views_match_the_reference_on_their_records(
+        seed in 0u64..1_000_000,
+        n in 0usize..600,
+    ) {
+        let records = gen_records(seed, n);
+        let trace: KpiTrace = records.iter().copied().collect();
+        for c in 0..3u8 {
+            let is = trace.filter_carrier_is(c);
+            let not = trace.filter_carrier_not(c);
+            prop_assert_eq!(is.len() + not.len(), trace.len());
+            prop_assert!(is.iter().all(|r| r.carrier == c));
+            prop_assert!(not.iter().all(|r| r.carrier != c));
+            prop_assert_eq!(is.to_trace().len(), is.len());
+
+            for (view, equal) in [(is, true), (not, false)] {
+                let kept: Vec<SlotKpi> =
+                    records.iter().copied().filter(|r| (r.carrier == c) == equal).collect();
+                prop_assert!((view.duration_s() - reference::duration_s(&kept)).abs() < 1e-12);
+                for dir in [Direction::Dl, Direction::Ul] {
+                    prop_assert!(
+                        (view.mean_throughput_mbps(dir)
+                            - reference::mean_throughput_mbps(&kept, dir))
+                        .abs()
+                            < 1e-9
+                    );
+                    let a = view.throughput_series_mbps(dir, 0.01);
+                    let b = reference::throughput_series_mbps(&kept, dir, 0.01);
+                    prop_assert_eq!(a.len(), b.len());
+                    for (x, y) in a.iter().zip(&b) {
+                        prop_assert!((x - y).abs() < 1e-9);
+                    }
+                    // The paper's thresholds, and one near the mean CQI of
+                    // uniform draws so both outcomes occur.
+                    for (threshold, at_least) in [(12, true), (10, false), (8, true), (8, false)] {
+                        let got = if at_least {
+                            view.mean_throughput_mbps_where_cqi(dir, 0.01, threshold)
+                        } else {
+                            view.mean_throughput_mbps_where_cqi_below(dir, 0.01, threshold)
+                        };
+                        let want = reference::mean_throughput_mbps_where_cqi(
+                            &kept, dir, 0.01, threshold, at_least,
+                        );
+                        prop_assert_eq!(got.is_some(), want.is_some());
+                        if let (Some(x), Some(y)) = (got, want) {
+                            prop_assert!((x - y).abs() < 1e-9, "{} vs {}", x, y);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -41,8 +41,8 @@ proptest! {
     }
 
     /// Per-slot carrier invariants hold under arbitrary (valid) geometry:
-    /// delivered ≤ TBS, PRBs ≤ N_RB, layers ≤ cell max, and the CQI filter
-    /// partitions the trace.
+    /// delivered ≤ TBS, PRBs ≤ N_RB, layers ≤ cell max, and the carrier
+    /// views partition the trace (all of it on the carrier's own index).
     #[test]
     fn carrier_slot_invariants(
         distance in 40.0f64..500.0,
@@ -81,9 +81,10 @@ proptest! {
                 prop_assert_eq!(r.delivered_bits, 0);
             }
         }
-        let good = trace.filter_cqi_at_least(10).len();
-        let bad = trace.filter_cqi_below(10).len();
-        prop_assert_eq!(good + bad, trace.len());
+        let pcell = trace.filter_carrier_is(0).len();
+        let others = trace.filter_carrier_not(0).len();
+        prop_assert_eq!(pcell + others, trace.len());
+        prop_assert_eq!(pcell, trace.len());
     }
 
     /// Latency probes are positive, finite and bounded by a few pattern
