@@ -7,6 +7,7 @@
 //! averaging (rates, MCS, layers) or summing (bits).
 
 use obs::audit::{self, Invariant};
+use ran::kpi::BinGrid;
 use serde::{Deserialize, Serialize};
 
 /// A regularly-resampled series.
@@ -25,28 +26,6 @@ impl Resampled {
     }
 }
 
-/// Number of bins of the `(bin_s, duration_s)` grid, or `None` when the
-/// grid is degenerate: non-finite or non-positive `bin_s`, non-finite
-/// `duration_s`, or a `duration/bin` ratio that overflows to infinity.
-/// Before this guard, `(duration_s / bin_s).ceil() as usize` on any of
-/// those inputs saturated to `usize::MAX` and the subsequent
-/// `vec![0.0; n_bins]` aborted the process — a latent crash any
-/// long-running daemon feeding live durations would eventually trip.
-/// Degenerate grids are counted (`timeseries.degenerate_grids`, plus an
-/// audit violation under `MIDBAND5G_AUDIT`) and the resamplers return an
-/// empty series instead.
-fn grid_bins(bin_s: f64, duration_s: f64) -> Option<usize> {
-    let ratio = duration_s / bin_s;
-    if !bin_s.is_finite() || bin_s <= 0.0 || !duration_s.is_finite() || !ratio.is_finite() {
-        obs::registry().counter("timeseries.degenerate_grids").inc();
-        if audit::enabled() {
-            audit::check(Invariant::ResampleGridDegenerate, false);
-        }
-        return None;
-    }
-    Some(ratio.ceil().max(0.0) as usize)
-}
-
 /// Average of samples per bin; empty bins repeat the previous bin's value
 /// (sample-and-hold, as a plotted KPI line would). Bins *before* the
 /// first sample are backfilled with the first real bin's value — seeding
@@ -57,11 +36,12 @@ fn grid_bins(bin_s: f64, duration_s: f64) -> Option<usize> {
 /// `timeseries.nonfinite_values`): one NaN-corrupted sample — exactly
 /// what `measure::fault` injects — would otherwise poison its bin's sum
 /// and then every later bin through the hold. A degenerate grid (see
-/// [`bin_counts`]) yields an empty series.
+/// [`BinGrid::new`]) yields an empty series.
 pub fn bin_average(samples: &[(f64, f64)], bin_s: f64, duration_s: f64) -> Resampled {
-    let Some(n_bins) = grid_bins(bin_s, duration_s) else {
+    let Some(grid) = BinGrid::new(bin_s, duration_s) else {
         return Resampled { bin_s, values: Vec::new() };
     };
+    let n_bins = grid.n();
     let mut sums = vec![0.0; n_bins];
     let mut counts = vec![0u32; n_bins];
     let mut nonfinite = 0u64;
@@ -73,7 +53,7 @@ pub fn bin_average(samples: &[(f64, f64)], bin_s: f64, duration_s: f64) -> Resam
             nonfinite += 1;
             continue;
         }
-        let b = ((t / bin_s) as usize).min(n_bins - 1);
+        let b = grid.index(t);
         sums[b] += v;
         counts[b] += 1;
     }
@@ -98,9 +78,10 @@ pub fn bin_average(samples: &[(f64, f64)], bin_s: f64, duration_s: f64) -> Resam
 /// the same sample-dropping rules as [`bin_average`] (non-finite
 /// timestamps and values skipped, degenerate grids empty).
 pub fn bin_sum(samples: &[(f64, f64)], bin_s: f64, duration_s: f64) -> Resampled {
-    let Some(n_bins) = grid_bins(bin_s, duration_s) else {
+    let Some(grid) = BinGrid::new(bin_s, duration_s) else {
         return Resampled { bin_s, values: Vec::new() };
     };
+    let n_bins = grid.n();
     let mut sums = vec![0.0; n_bins];
     let mut nonfinite = 0u64;
     for &(t, v) in samples {
@@ -111,8 +92,7 @@ pub fn bin_sum(samples: &[(f64, f64)], bin_s: f64, duration_s: f64) -> Resampled
             nonfinite += 1;
             continue;
         }
-        let b = ((t / bin_s) as usize).min(n_bins - 1);
-        sums[b] += v;
+        sums[grid.index(t)] += v;
     }
     count_nonfinite(nonfinite);
     let values: Vec<f64> = sums.into_iter().map(|s| s / bin_s).collect();
@@ -135,16 +115,16 @@ fn count_nonfinite(n: u64) {
 /// which merely held the previous value. Uses the same clamping/dropping
 /// rules as the resamplers, so indices line up one-to-one.
 pub fn bin_counts(samples: &[(f64, f64)], bin_s: f64, duration_s: f64) -> Vec<u64> {
-    let Some(n_bins) = grid_bins(bin_s, duration_s) else {
+    let Some(grid) = BinGrid::new(bin_s, duration_s) else {
         return Vec::new();
     };
+    let n_bins = grid.n();
     let mut counts = vec![0u64; n_bins];
     for &(t, v) in samples {
         if !t.is_finite() || t < 0.0 || !v.is_finite() || n_bins == 0 {
             continue;
         }
-        let b = ((t / bin_s) as usize).min(n_bins - 1);
-        counts[b] += 1;
+        counts[grid.index(t)] += 1;
     }
     counts
 }
@@ -164,7 +144,7 @@ pub fn bin_coverage(samples: &[(f64, f64)], bin_s: f64, duration_s: f64) -> Resa
 }
 
 /// Count every resample and, under `MIDBAND5G_AUDIT`, verify the output
-/// grid has exactly the `ceil(duration/bin)` bins [`grid_bins`] computed.
+/// grid has exactly the bins its [`BinGrid`] has.
 fn audit_resample_len(values: &[f64], expected: usize) {
     obs::registry().counter("timeseries.resamples").inc();
     if audit::enabled() {

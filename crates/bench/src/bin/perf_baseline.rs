@@ -14,8 +14,8 @@
 //! ```
 //!
 //! `--streaming` additionally runs the bounded-memory campaign path
-//! (an `Aggregates` campaign run) and records its peak retained records and
-//! per-record byte footprint.
+//! (an `Aggregates` campaign run) and records its merged aggregates' heap
+//! bytes and the per-record byte footprint of a columnar trace.
 //!
 //! `--cell-load` additionally measures the loaded-cell engine
 //! (`ran::cell::CellSim`) at 1 / 100 / 1000 / 10 000 contending UEs and
@@ -77,8 +77,8 @@ struct StreamingFigure {
     sessions: u64,
     /// Slot records emitted across the whole campaign.
     total_records: u64,
-    /// High-water mark of records buffered at once (`kpi.peak_retained_records`).
-    peak_retained_records: i64,
+    /// Heap bytes of the merged aggregates (`OnlineAggregates::heap_bytes`).
+    aggregates_heap_bytes: usize,
     /// Columnar heap bytes per retained record (one materialised session).
     bytes_per_record: f64,
     /// `size_of::<SlotKpi>()`: what the AoS row form costs per record.
@@ -302,9 +302,7 @@ fn main() {
         StreamingFigure {
             sessions: campaign.sessions,
             total_records: aggregates.records(),
-            peak_retained_records: midband5g::obs::registry()
-                .gauge("kpi.peak_retained_records")
-                .get(),
+            aggregates_heap_bytes: aggregates.heap_bytes(),
             bytes_per_record: trace.heap_bytes() as f64 / trace.len().max(1) as f64,
             aos_bytes_per_record: std::mem::size_of::<midband5g::ran::kpi::SlotKpi>() as u64,
             wall_ms,
@@ -354,12 +352,11 @@ fn main() {
     }
     if let Some(f) = &baseline.streaming {
         println!(
-            "  streaming {} sessions: {} records, peak retained {} ({:.2}% of total), \
+            "  streaming {} sessions: {} records into {} B of aggregates, \
              {:.1} B/record columnar vs {} B/record AoS, {:.0} ms",
             f.sessions,
             f.total_records,
-            f.peak_retained_records,
-            f.peak_retained_records as f64 * 100.0 / f.total_records.max(1) as f64,
+            f.aggregates_heap_bytes,
             f.bytes_per_record,
             f.aos_bytes_per_record,
             f.wall_ms

@@ -21,7 +21,7 @@ use crate::fault::{self, FaultConfig, FaultStats};
 use crate::session::{MobilityKind, SessionResult, SessionSpec};
 use analysis::OnlineAggregates;
 use operators::Operator;
-use ran::kpi::{KpiTrace, SlotKpi, CHUNK_RECORDS};
+use ran::kpi::KpiTrace;
 use ran::sink::SlotSink;
 use serde::{Deserialize, Serialize};
 use std::io;
@@ -275,10 +275,10 @@ impl Reducer for Traces {
     }
 }
 
-/// Bounded memory: fold every surviving record into per-session
-/// [`OnlineAggregates`] at `bin_s` throughput bins, through a
-/// [`ChunkFold`] that retains at most one in-flight columnar chunk per
-/// worker. [`Aggregates::merge`] combines the sessions in spec order, so
+/// Bounded memory: fold every surviving record straight into
+/// per-session [`OnlineAggregates`] at `bin_s` throughput bins, which
+/// hold O(duration / bin) words ([`OnlineAggregates::heap_bytes`]) and
+/// no records. [`Aggregates::merge`] combines the sessions in spec order, so
 /// the result is byte-identical to folding the stored traces of
 /// [`Campaign::run`], whatever the thread count.
 #[derive(Debug, Clone, Copy)]
@@ -300,15 +300,15 @@ impl Aggregates {
 }
 
 impl Reducer for Aggregates {
-    type Sink = ChunkFold;
+    type Sink = OnlineAggregates;
     type Output = OnlineAggregates;
 
-    fn sink(&self) -> ChunkFold {
-        ChunkFold::new(self.bin_s)
+    fn sink(&self) -> OnlineAggregates {
+        OnlineAggregates::new(self.bin_s)
     }
 
-    fn finish(&self, _spec: SessionSpec, fold: ChunkFold) -> OnlineAggregates {
-        fold.aggregates
+    fn finish(&self, _spec: SessionSpec, aggregates: OnlineAggregates) -> OnlineAggregates {
+        aggregates
     }
 }
 
@@ -512,60 +512,6 @@ pub(crate) fn pretty<T: Serialize>(value: &T) -> io::Result<String> {
     serde_json::to_string_pretty(value).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
-/// The [`Aggregates`] sink: it buffers at most one columnar chunk of
-/// records before folding them into [`OnlineAggregates`], reporting its
-/// retained record count through the `kpi.retained_records` /
-/// `kpi.peak_retained_records` obs gauges. The buffer exists to make the
-/// bounded-memory claim *observable* (and cheap to audit): memory high
-/// water is `workers × CHUNK_RECORDS` records, independent of session
-/// duration.
-pub struct ChunkFold {
-    buf: KpiTrace,
-    aggregates: OnlineAggregates,
-    retained: obs::Gauge,
-    peak: obs::Gauge,
-}
-
-impl ChunkFold {
-    fn new(bin_s: f64) -> ChunkFold {
-        let reg = obs::registry();
-        ChunkFold {
-            buf: KpiTrace::new(),
-            aggregates: OnlineAggregates::new(bin_s),
-            retained: reg.gauge("kpi.retained_records"),
-            peak: reg.gauge("kpi.peak_retained_records"),
-        }
-    }
-
-    fn flush(&mut self) {
-        let n = self.buf.len();
-        if n == 0 {
-            return;
-        }
-        for r in self.buf.iter() {
-            SlotSink::push(&mut self.aggregates, &r);
-        }
-        self.buf.clear();
-        self.retained.add(-(n as i64));
-    }
-}
-
-impl SlotSink for ChunkFold {
-    fn push(&mut self, kpi: &SlotKpi) {
-        KpiTrace::push(&mut self.buf, *kpi);
-        self.retained.add(1);
-        self.peak.raise_to(self.retained.get());
-        if self.buf.len() >= CHUNK_RECORDS {
-            self.flush();
-        }
-    }
-
-    fn finish(&mut self) {
-        self.flush();
-        self.aggregates.finish();
-    }
-}
-
 /// Table 1 aggregates across campaigns.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CampaignTotals {
@@ -647,22 +593,23 @@ mod tests {
     }
 
     #[test]
-    fn streaming_campaign_bounds_retained_records() {
-        // The acceptance bound: streaming the 3-operator standard campaign
-        // must never retain more than 10% of the total records in memory.
+    fn streaming_campaign_bounds_aggregate_memory() {
+        // The acceptance bound: each session of the 3-operator standard
+        // campaign folds into three series of its duration grid plus the
+        // RE sketch, and holds under 10% of its records' columnar bytes.
         let operators = [Operator::VodafoneSpain, Operator::TelekomGermany, Operator::AttUs];
-        let mut total_records = 0u64;
+        let sketch_bytes = 8 * (analysis::online::RE_SKETCH_BOUNDS.len() + 1);
         for (i, op) in operators.iter().enumerate() {
             let reducer = Aggregates { bin_s: 1.0 };
             let specs = Campaign::standard(*op, 1000 + i as u64).specs();
-            let agg = reducer.merge(&Plan::clean(Executor::new(4)).run(&specs, &reducer).results);
-            total_records += agg.records();
+            for agg in Plan::clean(Executor::new(4)).run(&specs, &reducer).results {
+                let n = ran::kpi::BinGrid::new(1.0, agg.duration_s()).expect("in-cap grid").n();
+                let records = usize::try_from(agg.records()).expect("fits");
+                let columns = KpiTrace::columns_byte_len(records).expect("fits");
+                let held = agg.heap_bytes();
+                assert!(n > 0 && held <= 3 * 8 * n + sketch_bytes, "{held} B for {n} bins");
+                assert!(held < columns / 10, "{held} B held vs {columns} B of records");
+            }
         }
-        let peak = obs::registry().gauge("kpi.peak_retained_records").get();
-        assert!(peak > 0, "streaming path should report its high-water mark");
-        assert!(
-            (peak as u64) < total_records / 10,
-            "peak retained {peak} records vs total {total_records}"
-        );
     }
 }

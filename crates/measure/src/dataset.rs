@@ -187,7 +187,7 @@ const HEADER_BYTES: usize = 16;
 /// Why a session file could not be decoded. Every malformed input —
 /// truncated, bit-flipped or forged — maps to one of these; the decoder
 /// never panics and never allocates more than the input justifies.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DecodeError {
     /// Neither the v3 magic nor the start of a JSON session.
     BadMagic,
@@ -231,6 +231,13 @@ pub enum DecodeError {
         /// The offending byte.
         code: u8,
     },
+    /// A `time_s` that is NaN, infinite or negative.
+    ImpossibleTime {
+        /// Record index.
+        index: u64,
+        /// The offending timestamp.
+        time_s: f64,
+    },
     /// A v1/v2 JSON session file that does not parse.
     Json {
         /// The parse error.
@@ -260,6 +267,9 @@ impl std::fmt::Display for DecodeError {
             DecodeError::BadSpec { detail } => write!(f, "spec does not parse: {detail}"),
             DecodeError::UnknownModulation { index, code } => {
                 write!(f, "record {index}: unknown modulation code {code}")
+            }
+            DecodeError::ImpossibleTime { index, time_s } => {
+                write!(f, "record {index}: impossible time {time_s} s")
             }
             DecodeError::Json { detail } => write!(f, "JSON session does not parse: {detail}"),
         }
@@ -385,6 +395,9 @@ fn decode_v3(bytes: &[u8]) -> Result<SessionRecord, DecodeError> {
     let trace = KpiTrace::read_columns(len as usize, columns).map_err(|e| match e {
         ColumnError::UnknownModulation { index, code } => {
             DecodeError::UnknownModulation { index: index as u64, code }
+        }
+        ColumnError::ImpossibleTime { index, time_s } => {
+            DecodeError::ImpossibleTime { index: index as u64, time_s }
         }
         ColumnError::LengthMismatch { .. } => mismatch,
     })?;

@@ -48,13 +48,19 @@ const SPECIAL_BITS: [u64; 10] = [
     0x0008_0000_0000_0000,
 ];
 
+/// The special floats a timestamp may be: negative zero and positive
+/// subnormals (the loader refuses NaN, infinite and negative times).
+const SPECIAL_TIME_BITS: [u64; 3] =
+    [0x8000_0000_0000_0000, 0x0000_0000_0000_0001, 0x0008_0000_0000_0000];
+
 fn special_trace(base: &KpiTrace) -> KpiTrace {
     base.iter()
         .enumerate()
         .map(|(i, r)| {
             let pick = |k: usize| f64::from_bits(SPECIAL_BITS[(i + k) % SPECIAL_BITS.len()]);
+            let time = f64::from_bits(SPECIAL_TIME_BITS[i % SPECIAL_TIME_BITS.len()]);
             SlotKpi {
-                time_s: if i % 3 == 0 { pick(0) } else { r.time_s },
+                time_s: if i % 3 == 0 { time } else { r.time_s },
                 sinr_db: pick(1),
                 rsrp_dbm: pick(2),
                 rsrq_db: pick(3),
@@ -101,6 +107,38 @@ fn special_floats_round_trip_bit_exactly() {
     let back = ds.load_session(&name).unwrap();
     assert_eq!(encode_session(&back.spec, &back.trace), bytes);
     std::fs::remove_dir_all(ds.root()).unwrap();
+}
+
+/// A session file whose record `index` carries `time_s`, with a valid
+/// checksum: the forgery a sealed file can hold.
+fn forge_time(spec: &SessionSpec, trace: &KpiTrace, index: usize, time_s: f64) -> Vec<u8> {
+    let mut bytes = encode_session(spec, trace);
+    let spec_len = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    let time_column = 16 + spec_len.next_multiple_of(8) + 8 + trace.len() * 8;
+    let at = time_column + index * 8;
+    bytes[at..at + 8].copy_from_slice(&time_s.to_bits().to_le_bytes());
+    let body = bytes.len() - 8;
+    let sum = measure::dataset::checksum(&bytes[..body]);
+    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+    bytes
+}
+
+#[test]
+fn impossible_times_are_refused_with_a_typed_error() {
+    let result = SessionResult::run(SessionSpec::stationary(Operator::VodafoneSpain, 0, 0.2, 8));
+    let index = result.trace.len() / 2;
+    let keep = |t: f64| forge_time(&result.spec, &result.trace, index, t);
+    // A forged but possible time still loads.
+    let record = decode_session(&keep(1e15)).expect("a finite time loads");
+    assert_eq!(record.trace.get(index).unwrap().time_s, 1e15);
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1e-3, -1e300] {
+        match decode_session(&keep(bad)) {
+            Err(DecodeError::ImpossibleTime { index: at, time_s }) => {
+                assert_eq!((at, time_s.to_bits()), (index as u64, bad.to_bits()));
+            }
+            other => panic!("time {bad}: {other:?}"),
+        }
+    }
 }
 
 #[test]

@@ -2,17 +2,22 @@
 //! fixture (`fixtures/v3_dataset`).
 //!
 //! A SplitMix64 byte mutator applies bit flips, truncations at header,
-//! column and checksum offsets, inflated record counts and garbled spec
-//! lengths — sometimes re-sealing the checksum so the mutation reaches
-//! the decoder stages behind it. Properties: the decoder never panics,
-//! every failure is a typed [`DecodeError`] (and surfaces through
-//! `load_all_lossy` as `MalformedSession` carrying exactly that error's
-//! text), and peak heap use while decoding is bounded by the input size,
-//! whatever record count the input claims. The iteration count is fixed,
-//! so the run is the same everywhere.
+//! column and checksum offsets, inflated record counts, garbled spec
+//! lengths and drawn timestamps (NaN, ±inf, negative, far future) —
+//! sometimes re-sealing the checksum so the mutation reaches the decoder
+//! stages behind it. Properties: the decoder never panics, every failure
+//! is a typed [`DecodeError`] (and surfaces through `load_all_lossy` as
+//! `MalformedSession` carrying exactly that error's text), and peak heap
+//! use while decoding is bounded by the input size, whatever record count
+//! the input claims. Whatever loads then runs every trace analytic and
+//! an `OnlineAggregates` fold, each within the input size plus a fixed
+//! number of [`MAX_BINS`]-long vectors, whatever times it holds. The
+//! iteration count is fixed, so the run is the same everywhere.
 
+use analysis::OnlineAggregates;
 use measure::dataset::{checksum, decode_session, Dataset, DecodeError, LoadError};
-use ran::kpi::{FLAG_COLUMNS, VALUE_COLUMN_WIDTHS};
+use ran::kpi::{Direction, KpiTrace, FLAG_COLUMNS, MAX_BINS, VALUE_COLUMN_WIDTHS};
+use ran::sink::SlotSink;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::path::PathBuf;
@@ -61,14 +66,62 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
+/// Run `f`, returning its result and the peak extra heap bytes held by
+/// this thread meanwhile.
+fn measured<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let base = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(base));
+    let result = f();
+    let peak = PEAK.with(Cell::get) - base;
+    (result, peak.max(0) as usize)
+}
+
 /// Decode `bytes`, returning the result and the peak extra heap bytes
 /// held by this thread while decoding.
 fn decode_measured(bytes: &[u8]) -> (Result<measure::SessionRecord, DecodeError>, usize) {
-    let base = LIVE.with(Cell::get);
-    PEAK.with(|p| p.set(base));
-    let result = decode_session(bytes);
-    let peak = PEAK.with(Cell::get) - base;
-    (result, peak.max(0) as usize)
+    measured(|| decode_session(bytes))
+}
+
+/// Bytes of one [`MAX_BINS`]-long vector of 8-byte words.
+const GRID_BYTES: usize = 8 * MAX_BINS;
+
+/// Bin widths the analytics run at: throughput seconds and Fig. 13's
+/// 60 ms.
+const BINS_S: [f64; 2] = [1.0, 0.06];
+
+/// Run every trace analytic and an `OnlineAggregates` fold over `trace`,
+/// returning the largest peak of extra heap bytes any one of them held.
+/// The fold holds the most at once: its three series at up to twice
+/// their length while they grow, a copy while `finish` trims them and
+/// one output series, so eight grid-long vectors bound every analytic.
+fn analytics_peak(trace: &KpiTrace) -> usize {
+    let mut peak = 0;
+    let mut run = |f: &dyn Fn()| peak = peak.max(measured(f).1);
+    run(&|| {
+        let _ = (trace.duration_s(), trace.delivered_bits_total(), trace.dl_re_allocations());
+        let _ = (trace.modulation_shares(), trace.layer_shares(), trace.dl_bler(), trace.mean_cqi());
+    });
+    for bin_s in BINS_S {
+        for dir in [Direction::Dl, Direction::Ul] {
+            run(&|| {
+                let _ = trace.mean_throughput_mbps(dir);
+            });
+            run(&|| {
+                let _ = trace.throughput_series_mbps(dir, bin_s);
+            });
+            run(&|| {
+                let _ = trace.mean_throughput_mbps_where_cqi(dir, bin_s, 12);
+                let _ = trace.mean_throughput_mbps_where_cqi_below(dir, bin_s, 10);
+            });
+        }
+        run(&|| {
+            let mut agg = OnlineAggregates::new(bin_s);
+            agg.push_block(&trace.iter().collect::<Vec<_>>());
+            agg.finish();
+            let _ = (agg.throughput_series_mbps(Direction::Dl), agg.bin_coverage());
+        });
+    }
+    peak
 }
 
 /// One full chunk of preallocated columns: the decoder's fixed cost.
@@ -140,6 +193,11 @@ fn len_offset(bytes: &[u8]) -> usize {
     let spec_len = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
     16 + spec_len.next_multiple_of(8)
 }
+
+/// Timestamps the time-column mutator draws from: the loader refuses
+/// the first five; the last three load and must not blow up a grid.
+const DRAWN_TIMES: [f64; 8] =
+    [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, -1e-300, 1e15, 1e300, 3600.0];
 
 #[test]
 fn fixture_decodes_and_reencodes_to_identical_bytes() {
@@ -213,6 +271,8 @@ fn mutated_session_files_fail_only_with_typed_errors() {
     let (name, clean) = fixture_bytes();
     let offsets = section_offsets(&clean);
     let len_at = len_offset(&clean);
+    let len = u64::from_le_bytes(clean[len_at..len_at + 8].try_into().unwrap()) as usize;
+    let time_at = len_at + 8 + len * 8;
     let mut rng = SplitMix64(0x5e55_1011_f022);
     let scratch = std::env::temp_dir().join(format!("midband5g-fuzz-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch);
@@ -223,13 +283,14 @@ fn mutated_session_files_fail_only_with_typed_errors() {
     )
     .unwrap();
     let mut outcomes = [0u32; 2];
+    let mut far_future = 0u32;
 
     for iteration in 0..ITERATIONS {
         let mut bytes = clean.clone();
         let mutations = 1 + rng.below(3);
         let mut single_flip = mutations == 1;
         for _ in 0..mutations {
-            match rng.below(5) {
+            match rng.below(6) {
                 0 | 1 => {
                     let at = rng.below(bytes.len());
                     if let Some(b) = bytes.get_mut(at) {
@@ -244,6 +305,13 @@ fn mutated_session_files_fail_only_with_typed_errors() {
                         rng.below(bytes.len() + 1)
                     };
                     bytes.truncate(at + rng.below(3));
+                }
+                5 if bytes.len() >= time_at + len * 8 + 8 => {
+                    single_flip = false;
+                    let at = time_at + 8 * rng.below(len);
+                    let time = DRAWN_TIMES[rng.below(DRAWN_TIMES.len())];
+                    bytes[at..at + 8].copy_from_slice(&time.to_bits().to_le_bytes());
+                    reseal(&mut bytes);
                 }
                 3 if bytes.len() >= len_at + 8 => {
                     single_flip = false;
@@ -282,6 +350,14 @@ fn mutated_session_files_fail_only_with_typed_errors() {
                 bytes.len()
             );
         }
+        if let Ok(record) = &result {
+            far_future += u32::from(record.trace.duration_s() > 1e12);
+            let peak = analytics_peak(&record.trace);
+            assert!(
+                peak <= 8 * bytes.len() + 8 * GRID_BYTES,
+                "iteration {iteration}: an analytic held {peak} heap bytes"
+            );
+        }
         outcomes[usize::from(result.is_err())] += 1;
 
         // The same bytes through the lossy loader: the decode error
@@ -306,5 +382,6 @@ fn mutated_session_files_fail_only_with_typed_errors() {
         outcomes[0] > 0 && outcomes[1] > outcomes[0],
         "ok/err split {outcomes:?}"
     );
+    assert!(far_future > 0, "no far-future timestamp ever loaded");
     let _ = std::fs::remove_dir_all(&scratch);
 }

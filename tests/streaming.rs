@@ -76,3 +76,69 @@ proptest! {
         }
     }
 }
+
+/// The three dense 1 s DL series of one V_Sp session — the second tier a
+/// daemon serves over its bus, the stored trace's scan and the online
+/// fold — agree bit for bit on every bin: each is an integer bit sum,
+/// exact in `f64` below 2^53, divided by the same width and 1e6. Three
+/// waves run three sessions (seeds 40, 41, 42), each on its own epoch.
+#[test]
+fn daemon_trace_and_online_dl_series_agree_bit_for_bit() {
+    use daemon::proto::{Request, Response, Tier};
+    use midband5g::measure::campaign::Campaign;
+
+    const WAVES: u64 = 3;
+    const DURATION_S: f64 = 2.5;
+    let config = daemon::DaemonConfig {
+        socket_path: std::env::temp_dir()
+            .join(format!("midband5g-streaming-{}.sock", std::process::id())),
+        operators: vec![Operator::VodafoneSpain],
+        sessions_per_operator: 1,
+        session_duration_s: DURATION_S,
+        base_seed: 40,
+        threads: 1,
+        waves: Some(WAVES),
+        ..daemon::DaemonConfig::default()
+    };
+    let socket = config.socket_path.clone();
+    let handle = daemon::start(config).expect("daemon starts");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
+    while handle.waves_done() < WAVES {
+        assert!(std::time::Instant::now() < deadline, "daemon never finished its waves");
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let request = Request::GetSeries { metric: "dl_mbps".to_string(), tier: Tier::Seconds, last: 0 };
+    let served = match daemon::request_once(&socket, &request).expect("series") {
+        Response::Series { series } => series,
+        other => panic!("expected Series, got {other:?}"),
+    };
+    handle.shutdown();
+    handle.join();
+    assert_eq!(served.start_bin, 0);
+
+    let stride = DURATION_S.ceil() as usize;
+    for wave in 0..WAVES {
+        let campaign = Campaign {
+            operator: Operator::VodafoneSpain,
+            sessions: 1,
+            session_duration_s: DURATION_S,
+            base_seed: 40 + wave,
+        };
+        let spec = campaign.specs()[0];
+        let mut tee = Tee::new(KpiTrace::new(), OnlineAggregates::new(1.0));
+        SessionResult::run_with_sink(spec, &mut tee);
+        let Tee { first: trace, second: online } = tee;
+        let stored = trace.throughput_series_mbps(Direction::Dl, 1.0);
+        let folded = online.throughput_series_mbps(Direction::Dl);
+        let at = wave as usize * stride;
+        let daemon = &served.values[at..at + stored.len()];
+        assert_eq!(stored.len(), stride, "wave {wave}");
+        for (bin, ((&d, &s), &f)) in daemon.iter().zip(&stored).zip(&folded).enumerate() {
+            assert_eq!(
+                (d.to_bits(), s.to_bits()),
+                (f.to_bits(), f.to_bits()),
+                "wave {wave} bin {bin}: daemon {d}, trace {s}, online {f}"
+            );
+        }
+    }
+}
