@@ -19,7 +19,7 @@ fn main() {
     let rows = extensions::load_sweep(&rates, args.duration_s, args.seed);
     println!(
         "{:>12} {:>12} {:>16} {:>12}",
-        "offered", "delivered", "queue delay", "DL slots used"
+        "offered", "delivered", "queue delay", "DL PRBs used"
     );
     for r in &rows {
         println!(

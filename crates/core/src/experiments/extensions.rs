@@ -182,7 +182,9 @@ pub struct LoadSweepRow {
     /// Mean queueing delay via Little's law (mean backlog / offered rate),
     /// milliseconds.
     pub queue_delay_ms: f64,
-    /// Fraction of DL slots carrying a grant.
+    /// DL PRB occupancy: the PRBs each DL grant's transport block fills
+    /// (its PRBs × its share of the grant's full TBS), as a share of
+    /// `N_RB` × the DL-capable slots.
     pub utilisation: f64,
 }
 
@@ -198,7 +200,11 @@ pub fn load_sweep(rates_mbps: &[f64], duration_s: f64, seed: u64) -> Vec<LoadSwe
     use ran::carrier::{Carrier, TrafficPattern};
     use ran::config::CellConfig;
     use ran::kpi::Direction;
+    use nr_phy::dci::DciFormat;
+    use nr_phy::mcs::McsIndex;
+    use nr_phy::tbs::transport_block_size;
     use ran::queue::QueueConfig;
+    use ran::scheduler::dl_allocation_prbs;
     use ran::workload::Cbr;
 
     let profile = Operator::VodafoneSpain.profile();
@@ -216,8 +222,13 @@ pub fn load_sweep(rates_mbps: &[f64], duration_s: f64, seed: u64) -> Vec<LoadSwe
                 MobilityModel::Stationary { position: pos },
                 &seeds,
             );
-            let mut carrier =
-                Carrier::new(cfg, 0, channel, profile.link_model(&profile.carriers[0]), &seeds);
+            let mut carrier = Carrier::new(
+                cfg.clone(),
+                0,
+                channel,
+                profile.link_model(&profile.carriers[0]),
+                &seeds,
+            );
             carrier.set_dl_workload(Box::new(Cbr::new(rate)), QueueConfig::unbounded());
             let slots = (duration_s / carrier.slot_s()).round() as u64;
             let mut trace = ran::kpi::KpiTrace::new();
@@ -229,13 +240,23 @@ pub fn load_sweep(rates_mbps: &[f64], duration_s: f64, seed: u64) -> Vec<LoadSwe
             }
             let delivered = trace.mean_throughput_mbps(Direction::Dl);
             let mean_backlog = backlog_sum / slots as f64;
-            let total = trace.direction(Direction::Dl).count().max(1);
-            let scheduled = trace.direction(Direction::Dl).filter(|r| r.scheduled).count();
+            // A grant always spans every PRB; a CBR queue below the knee
+            // fills only part of its transport block.
+            let filled_prbs = |r: &ran::kpi::SlotKpi| {
+                let format = if r.cqi < 3 { DciFormat::Dl1_0 } else { DciFormat::Dl1_1 };
+                let table = format.effective_mcs_table(cfg.mcs_table());
+                let full = dl_allocation_prbs(&cfg, r.slot, r.n_prb)
+                    .map_or(0, |a| transport_block_size(&a, table, McsIndex(r.mcs), r.layers));
+                f64::from(r.n_prb) * (f64::from(r.tbs_bits) / f64::from(full.max(1))).min(1.0)
+            };
+            let dl = || trace.direction(Direction::Dl);
+            let dl_slots = dl().filter(|r| cfg.dl_symbols(r.slot) > 0).count().max(1);
+            let filled: f64 = dl().filter(|r| r.scheduled).map(|r| filled_prbs(&r)).sum();
             LoadSweepRow {
                 offered_mbps: rate,
                 delivered_mbps: delivered,
                 queue_delay_ms: mean_backlog / (rate * 1e6) * 1e3,
-                utilisation: scheduled as f64 / total as f64,
+                utilisation: filled / (f64::from(cfg.n_rb) * dl_slots as f64),
             }
         })
         .collect()
@@ -457,8 +478,13 @@ pub fn bufferbloat_aqm(duration_s: f64, load_share: f64, seed: u64) -> Vec<Buffe
                 MobilityModel::Stationary { position: pos },
                 &seeds,
             );
-            let mut carrier =
-                Carrier::new(cfg, 0, channel, profile.link_model(&profile.carriers[0]), &seeds);
+            let mut carrier = Carrier::new(
+                cfg.clone(),
+                0,
+                channel,
+                profile.link_model(&profile.carriers[0]),
+                &seeds,
+            );
             let (workload, queue) = WorkloadSpec::Cwnd { aqm }.build();
             carrier.set_dl_workload(workload, queue);
             let slots = (duration_s / carrier.slot_s()).round() as u64;
@@ -504,10 +530,12 @@ mod tests {
             "{:?}",
             rows[2]
         );
-        // Utilisation never falls with load (a smooth CBR source keeps
-        // every DL slot busy with small TBs even at low load, so the
-        // interesting signal is the delay knee above, not slot counts).
-        assert!(rows[2].utilisation >= rows[0].utilisation - 0.05);
+        // A smooth CBR source gets a grant in every DL slot even at low
+        // load, but a small one: PRB occupancy rises with the load and
+        // fills the carrier past the knee.
+        assert!(rows[0].utilisation < 0.5 * rows[2].utilisation, "{rows:?}");
+        assert!(rows[1].utilisation > rows[0].utilisation, "{rows:?}");
+        assert!(rows[2].utilisation > 0.9, "{rows:?}");
     }
 
     #[test]
