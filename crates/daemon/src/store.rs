@@ -22,8 +22,7 @@
 //!
 //! Memory bounds are *observable*: the `daemon.retained_raw`,
 //! `daemon.retained_sec_bins` and `daemon.retained_min_bins` gauges
-//! track ring occupancy (the `kpi.retained_records` pattern from the
-//! streaming campaign path), so a gating run can assert the store never
+//! track ring occupancy, so a gating run can assert the store never
 //! outgrew its configuration.
 
 use crate::proto::{Tier, WireSeries};
