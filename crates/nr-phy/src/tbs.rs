@@ -20,22 +20,6 @@ const TBS_TABLE: [u32; 93] = [
     3104, 3240, 3368, 3496, 3624, 3752, 3824,
 ];
 
-/// [`TBS_TABLE`] widened to `i32` and padded to a SIMD lane multiple with
-/// `i32::MAX` sentinels. Counting entries strictly below a quantised
-/// N'_info across the padded table equals `partition_point` on the
-/// unpadded one: every real entry fits in `i32`, and the sentinels never
-/// compare below a query. The sentinel must be `i32::MAX`, not an
-/// all-ones `u32`, because the SIMD compare is *signed*.
-const TBS_TABLE_PAD: [i32; 96] = {
-    let mut padded = [i32::MAX; 96];
-    let mut i = 0;
-    while i < TBS_TABLE.len() {
-        padded[i] = TBS_TABLE[i] as i32;
-        i += 1;
-    }
-    padded
-};
-
 /// Compute the transport block size in **bits**.
 ///
 /// * `n_re` — total resource elements available to the transport block
@@ -58,11 +42,10 @@ pub fn tbs_bits(n_re: u32, code_rate: f64, modulation_bits: u8, layers: u8) -> u
         let n = ((n_info.log2().floor() as i32) - 6).max(3) as u32;
         let pow = 1u64 << n;
         let quantised = (pow * (n_info as u64 / pow)).max(24);
-        // Smallest table entry ≥ quantised N'_info: a branchless SIMD
-        // count of entries below the query over the sentinel-padded table
-        // (≡ `partition_point`; quantised ≤ 3824 = TBS_TABLE[92], so the
-        // index is always in range and the fallback is defensive only).
-        let idx = vmath::count_lt_i32(&TBS_TABLE_PAD, quantised as i32);
+        // Smallest table entry ≥ quantised N'_info (quantised ≤ 3824 =
+        // TBS_TABLE[92], so the index is always in range and the fallback
+        // is defensive only).
+        let idx = TBS_TABLE.partition_point(|&t| (t as u64) < quantised);
         TBS_TABLE.get(idx).copied().unwrap_or(3824)
     } else {
         // Step 4: large TBS formula.
@@ -79,23 +62,6 @@ pub fn tbs_bits(n_re: u32, code_rate: f64, modulation_bits: u8, layers: u8) -> u
         } else {
             (8 * (q + 24).div_ceil(8) - 24) as u32
         }
-    }
-}
-
-/// Batched [`tbs_bits`] over per-UE RE counts sharing one MCS/layer
-/// configuration — the shape of a cell's per-slot grant sweep, where the
-/// scheduler sizes many allocations against the serving MCS table row.
-/// Bit-identical to calling the scalar function per element.
-pub fn tbs_bits_batch(
-    n_re: &[u32],
-    code_rate: f64,
-    modulation_bits: u8,
-    layers: u8,
-    out: &mut [u32],
-) {
-    assert_eq!(n_re.len(), out.len(), "input/output length mismatch");
-    for (o, &re) in out.iter_mut().zip(n_re.iter()) {
-        *o = tbs_bits(re, code_rate, modulation_bits, layers);
     }
 }
 
@@ -289,28 +255,6 @@ mod tests {
             let idx = TBS_TABLE.partition_point(|&t| (t as u64) < q);
             let binary = TBS_TABLE.get(idx).copied().unwrap_or(3824);
             assert_eq!(binary, scan, "N'_info = {q}");
-            // The SIMD count over the sentinel-padded table lands on the
-            // same index on every available arm.
-            for &arm in vmath::available_arms() {
-                assert_eq!(
-                    vmath::count_lt_i32_with(arm, &TBS_TABLE_PAD, q as i32),
-                    idx,
-                    "{arm:?} N'_info = {q}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batched_tbs_matches_scalar() {
-        let n_re: Vec<u32> = (0..130).map(|i| i * 311 % 40_000).collect();
-        for (rate, qm, layers) in [(120.0 / 1024.0, 2u8, 1u8), (682.5 / 1024.0, 8, 4), (0.2, 2, 4)]
-        {
-            let mut out = vec![0u32; n_re.len()];
-            tbs_bits_batch(&n_re, rate, qm, layers, &mut out);
-            for (i, (&re, &got)) in n_re.iter().zip(out.iter()).enumerate() {
-                assert_eq!(got, tbs_bits(re, rate, qm, layers), "i={i} re={re}");
-            }
         }
     }
 

@@ -5,7 +5,7 @@ use nr_phy::bandwidth::{guard_bandwidth_khz, max_transmission_bandwidth, Channel
 use nr_phy::cqi::{Cqi, CqiTable, CqiToMcsPolicy};
 use nr_phy::mcs::{McsIndex, McsTable};
 use nr_phy::resource::RbAllocation;
-use nr_phy::tbs::{tbs_bits, tbs_bits_batch, transport_block_size};
+use nr_phy::tbs::{tbs_bits, transport_block_size};
 use nr_phy::tdd::{SpecialSlotConfig, TddPattern};
 use nr_phy::throughput::{max_data_rate_mbps, CarrierRange, CarrierSpec, LinkDirection};
 use nr_phy::Numerology;
@@ -75,24 +75,6 @@ proptest! {
                 memo.transport_block_size(&alloc, table, McsIndex(mcs), layers),
                 direct
             );
-        }
-    }
-
-    /// The batched TBS path is bit-identical to the scalar function for
-    /// arbitrary RE counts and ragged batch lengths — the SIMD table
-    /// lookup inside must agree with `partition_point` everywhere.
-    #[test]
-    fn batched_tbs_bit_identical_to_scalar(
-        n_re in prop::collection::vec(0u32..100_000, 0..67),
-        rate_milli in 1u32..=948,
-        qm in prop::sample::select(vec![0u8, 2, 4, 6, 8]),
-        layers in 0u8..=4,
-    ) {
-        let rate = f64::from(rate_milli) / 1024.0;
-        let mut out = vec![0u32; n_re.len()];
-        tbs_bits_batch(&n_re, rate, qm, layers, &mut out);
-        for (i, (&re, &got)) in n_re.iter().zip(out.iter()).enumerate() {
-            prop_assert_eq!(got, tbs_bits(re, rate, qm, layers), "lane {}: re {}", i, re);
         }
     }
 
