@@ -144,8 +144,17 @@ impl OnlineAggregates {
             Direction::Dl => &self.dl_bin_bits,
             Direction::Ul => &self.ul_bin_bits,
         };
-        (0..self.series_bins())
-            .map(|i| bins.get(i).copied().unwrap_or(0) as f64 / self.bin_s / 1e6)
+        let n = self.series_bins();
+        (0..n)
+            .map(|i| {
+                // The last bin also holds every later one (see `fold_to_grid`).
+                let bits: u64 = if i + 1 == n {
+                    bins.iter().skip(i).sum()
+                } else {
+                    bins.get(i).copied().unwrap_or(0)
+                };
+                bits as f64 / self.bin_s / 1e6
+            })
             .collect()
     }
 
@@ -225,8 +234,8 @@ impl OnlineAggregates {
         RE_SKETCH_BOUNDS.last().copied()
     }
 
-    /// Records consumed per time bin (both directions), padded to the
-    /// series length after [`SlotSink::finish`].
+    /// Records consumed per time bin (both directions), on the series'
+    /// grid after [`SlotSink::finish`].
     pub fn bin_records(&self) -> &[u64] {
         &self.bin_records
     }
@@ -368,17 +377,31 @@ impl SlotSink for OnlineAggregates {
     }
 
     fn finish(&mut self) {
-        // Pad the series to the full duration so empty trailing bins are
+        // Fit the series to the duration's grid so empty trailing bins are
         // observable, drop the growth slack, then seal.
         let n_bins = self.series_bins();
         for series in [&mut self.bin_records, &mut self.dl_bin_bits, &mut self.ul_bin_bits] {
-            if series.len() < n_bins {
-                series.resize(n_bins, 0);
-            }
+            fold_to_grid(series, n_bins);
             series.shrink_to_fit();
         }
         self.finished = true;
     }
+}
+
+/// Fit an open-ended per-bin series to an `n`-bin grid: bins past the
+/// last one fold into it, as [`BinGrid::index`] clamps them (a slot-0
+/// record at an exact multiple of the bin lands at bin `n`), and missing
+/// trailing bins read zero. A grid with no bins (empty or degenerate)
+/// has no last bin, so the series stays as gathered.
+fn fold_to_grid(series: &mut Vec<u64>, n: usize) {
+    if n == 0 {
+        return;
+    }
+    if series.len() > n {
+        let tail: u64 = series.drain(n..).sum();
+        series[n - 1] += tail;
+    }
+    series.resize(n, 0);
 }
 
 #[cfg(test)]
@@ -439,6 +462,26 @@ mod tests {
         assert_eq!(agg.layer_shares(), trace.layer_shares());
         assert_eq!(agg.dl_bler(), trace.dl_bler());
         assert!((agg.mean_cqi() - trace.mean_cqi()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn boundary_record_folds_into_the_last_bin() {
+        // A slot-0 record carries no slot length, so the duration falls
+        // back to its time: 2 s on 1 s bins is a 2-bin grid, and the
+        // record's own bin is 2.
+        let mut r = record(0, Direction::Dl, 1_000);
+        r.time_s = 2.0;
+        let mut agg = OnlineAggregates::new(1.0);
+        let mut trace = ran::kpi::KpiTrace::new();
+        agg.push(&r);
+        ran::kpi::KpiTrace::push(&mut trace, r);
+        let want = vec![0.0, 0.001];
+        assert_eq!(trace.throughput_series_mbps(Direction::Dl, 1.0), want);
+        assert_eq!(agg.throughput_series_mbps(Direction::Dl), want, "before finish");
+        agg.finish();
+        assert_eq!(agg.throughput_series_mbps(Direction::Dl), want, "after finish");
+        assert_eq!(agg.throughput_series_mbps(Direction::Ul), vec![0.0, 0.0]);
+        assert_eq!(agg.bin_records(), &[0, 1]);
     }
 
     #[test]
