@@ -716,6 +716,16 @@ fn unexpected_violations() -> u64 {
         .sum()
 }
 
+/// Count one lost worker process: in `stats`, in the `dist.workers_lost`
+/// counter and, under audit, as a [`Invariant::WorkerLost`] violation.
+fn count_lost_worker(stats: &mut DistStats) {
+    stats.workers_lost += 1;
+    obs::registry().counter("dist.workers_lost").inc();
+    if audit::enabled() {
+        audit::violation(Invariant::WorkerLost);
+    }
+}
+
 /// Run `job` in `dir` across `config.workers` local worker processes
 /// spawned by `spawn(dir, worker_id)`, supervising heartbeats and
 /// killing wedged children, then merge the finished directory into one
@@ -808,11 +818,7 @@ pub fn run_distributed(
                 *counted = true;
                 if !status.success() {
                     lost += 1;
-                    stats.workers_lost += 1;
-                    reg.counter("dist.workers_lost").inc();
-                    if audit::enabled() {
-                        audit::violation(Invariant::WorkerLost);
-                    }
+                    count_lost_worker(&mut stats);
                 }
             }
         }
@@ -844,11 +850,7 @@ pub fn run_distributed(
                     let _ = child.wait();
                     *counted = true;
                     lost += 1;
-                    stats.workers_lost += 1;
-                    reg.counter("dist.workers_lost").inc();
-                    if audit::enabled() {
-                        audit::violation(Invariant::WorkerLost);
-                    }
+                    count_lost_worker(&mut stats);
                 }
             }
         }
@@ -875,11 +877,7 @@ pub fn run_distributed(
                 Ok(Some(status)) => {
                     if !*counted && !status.success() {
                         *counted = true;
-                        stats.workers_lost += 1;
-                        reg.counter("dist.workers_lost").inc();
-                        if audit::enabled() {
-                            audit::violation(Invariant::WorkerLost);
-                        }
+                        count_lost_worker(&mut stats);
                     }
                     break;
                 }
@@ -888,11 +886,7 @@ pub fn run_distributed(
                     let _ = child.wait();
                     if !*counted {
                         *counted = true;
-                        stats.workers_lost += 1;
-                        reg.counter("dist.workers_lost").inc();
-                        if audit::enabled() {
-                            audit::violation(Invariant::WorkerLost);
-                        }
+                        count_lost_worker(&mut stats);
                     }
                     break;
                 }
