@@ -13,7 +13,7 @@
 //! why in CHANGES.md. Any other change must leave it as it is.
 
 use midband5g::analysis::OnlineAggregates;
-use midband5g::experiments::extensions;
+use midband5g::experiments::{coverage_map, extensions};
 use midband5g::measure::campaign::{
     Aggregates, Campaign, CampaignOutcome, Plan, SessionCoverage, SessionFailure, Traces,
 };
@@ -276,6 +276,33 @@ fn innovation_stream_digest_is_unchanged() {
         }
     }
     assert_eq!(h.0, 0x9d8d_b2b7_03d9_0afe, "golden innovation digest moved: {:#018x}", h.0);
+}
+
+/// Fig. 7's route survey, both operators, one walk-minute at the
+/// figure's default seed: every sample's position, RSRQ, RSRP and
+/// serving site. The survey steps its channel through
+/// `ChannelSimulator::step`, the internal-mobility entry point no
+/// session takes.
+#[test]
+fn route_survey_digest_is_unchanged() {
+    let (dense, sparse) = coverage_map::figure7(1.0, 2024);
+    let mut h = Fnv::new();
+    let mut samples = 0;
+    for survey in [&dense, &sparse] {
+        h.bytes(survey.operator.as_bytes());
+        h.word(survey.sites as u64);
+        h.word(survey.samples.len() as u64);
+        samples += survey.samples.len();
+        for s in &survey.samples {
+            h.f64(s.x);
+            h.f64(s.y);
+            h.f64(s.rsrq_db);
+            h.f64(s.rsrp_dbm);
+            h.word(s.serving_site as u64);
+        }
+    }
+    let want = (120, 0xeb97_8876_3a82_76b4);
+    assert_eq!((samples, h.0), want, "golden route survey moved: {:#018x}", h.0);
 }
 
 /// Hashes a cell's record stream as it leaves the engine: per slot, UEs
