@@ -115,7 +115,7 @@ pub struct ChannelState {
     pub blocked: bool,
 }
 
-/// Slots one still-path lookahead batch covers. Equal to
+/// Slots one lookahead batch covers. Equal to
 /// [`crate::shadowing::GAUSS_TILE`], so in steady state each batch
 /// consumes exactly one innovation tile per process (a run never crosses
 /// a refill boundary) and the per-batch bookkeeping amortises over 32
@@ -125,30 +125,23 @@ const LA_SLOTS: usize = 32;
 /// entry per lookahead slot.
 const LA_STRIDE: usize = LA_SLOTS + 1;
 
-/// Buffers of the slot lookahead (see [`ChannelSimulator::step_at`] and
-/// [`ChannelSimulator::step`]).
+/// Buffers of the stationary-UE slot lookahead (see
+/// [`ChannelSimulator::step_at`]).
 ///
-/// Per-slot channel math has no external inputs beyond the UE trajectory:
-/// shadowing and fading evolve from their own RNG streams, and every
-/// dB↔mW conversion is a pure function of those states. The lookahead
-/// therefore advances all processes [`LA_SLOTS`] slots at once (their
-/// innovations are already tile-prefetched, and each process owns its
-/// stream, so per-process draw order is untouched) and evaluates the
+/// A UE that stays put with a warm large-scale cache has no per-slot
+/// inputs: shadowing and fading evolve from their own RNG streams, and
+/// every dB↔mW conversion is a pure function of those states. The
+/// lookahead therefore advances all processes [`LA_SLOTS`] slots at once
+/// (their innovations are already tile-prefetched, and each process owns
+/// its stream, so per-process draw order is untouched) and evaluates the
 /// whole batch's `pow10`/`log10` conversions in wide SIMD slices —
 /// bit-identical to the slot-by-slot path because `vmath` lanes equal
 /// its scalar calls for every input.
 ///
-/// Two front-ends share the machinery: the *still* batch (stationary UE,
-/// warm large-scale cache, driven through `step_at`) and the *moving*
-/// batch (internal mobility, driven through `step`, which additionally
-/// batches the per-slot path-loss `log10` across slots × sites).
-///
 /// If the caller diverges mid-batch, the unread tail is *rewound*:
-/// process states are restored from the recorded history, the unused
-/// innovations are returned to their tiles, and (for a moving batch) the
-/// mobility walker is restored from its snapshot and replayed over the
-/// consumed slots — so the scalar path resumes exactly where a
-/// never-lookahead simulator would be.
+/// process states are restored from the recorded history and the unused
+/// innovations are returned to their tiles, so the scalar path resumes
+/// exactly where a never-lookahead simulator would be.
 #[derive(Debug, Clone)]
 struct Lookahead {
     /// Precomputed states for the batch's slots.
@@ -164,35 +157,16 @@ struct Lookahead {
     /// Whether the batch consumed one shadowing draw per slot (false only
     /// when environment churn is disabled).
     shadow_consumed: bool,
-    /// Whether this is a moving batch built by [`ChannelSimulator::step`]
-    /// (mobility-driven positions, snapshot-based rewind).
-    mobility: bool,
     /// Next unread batch entry.
     pos: usize,
     /// Batch length (`0` = no batch pending).
     len: usize,
-    /// Position the still batch was computed for. Moving batches store a
-    /// NaN position here so the `step_at` pop test never matches them.
+    /// Position the batch was computed for.
     position: Position,
-    /// Per-slot UE positions of the batch.
-    positions: Vec<Position>,
-    /// Per-slot movement deltas of a moving batch, metres.
-    moved: Vec<f64>,
-    /// Slot-major per-(slot, site) large-scale base powers
-    /// (`tx_per_re − path loss − sector`), dBm.
-    bases: Vec<f64>,
-    /// Slot-major per-(slot, site) 2D distances, metres.
-    dist: Vec<f64>,
-    /// Mobility walker state at the start of a moving batch; rewinding
-    /// restores it and replays the consumed slots (deterministic, and any
-    /// waypoint draws replay identically from the snapshotted RNG).
-    snapshot: Option<MobilityState>,
-    /// Scratch: site-major per-slot dBm/10 lanes for the `pow10` batch
-    /// (also reused for the clamped path-loss distances of a moving
-    /// batch's `log10` stage, which completes before the power stage).
+    /// Scratch: slot-major per-(slot, site) dBm/10 lanes for the `pow10`
+    /// batch.
     pow_args: Vec<f64>,
-    /// Scratch: the corresponding linear powers (also reused for the
-    /// path-loss logarithms of a moving batch).
+    /// Scratch: the corresponding linear powers.
     mw: Vec<f64>,
     /// Scratch: per-slot `log10` arguments (3 lanes per slot).
     log_args: Vec<f64>,
@@ -222,29 +196,14 @@ impl Lookahead {
             fading: vec![0.0; LA_STRIDE],
             serving: vec![usize::MAX; LA_STRIDE],
             shadow_consumed: false,
-            mobility: false,
             pos: 0,
             len: 0,
             position: Position::ORIGIN,
-            positions: vec![Position::ORIGIN; LA_SLOTS],
-            moved: vec![0.0; LA_SLOTS],
-            bases: vec![0.0; n_sites * LA_SLOTS],
-            dist: vec![0.0; n_sites * LA_SLOTS],
-            snapshot: None,
             pow_args: vec![0.0; n_sites * LA_SLOTS],
             mw: vec![0.0; n_sites * LA_SLOTS],
             log_args: vec![0.0; 3 * LA_SLOTS],
             logs: vec![0.0; 3 * LA_SLOTS],
         }
-    }
-
-    /// Resize the site-dependent buffers after a layout swap.
-    fn resize_sites(&mut self, n_sites: usize) {
-        self.shadow.resize(n_sites * LA_STRIDE, 0.0);
-        self.bases.resize(n_sites * LA_SLOTS, 0.0);
-        self.dist.resize(n_sites * LA_SLOTS, 0.0);
-        self.pow_args.resize(n_sites * LA_SLOTS, 0.0);
-        self.mw.resize(n_sites * LA_SLOTS, 0.0);
     }
 }
 
@@ -260,7 +219,7 @@ pub struct ChannelSimulator {
     slot: u64,
     serving_idx: Option<usize>,
     /// Position the `large_scale` entries were computed for. `None` until
-    /// the first slot and after a layout swap.
+    /// the first slot.
     cache_position: Option<Position>,
     /// Per-site cached large-scale terms for `cache_position`:
     /// `(site id, ((tx_per_re − path loss) − sector) dBm, 2D distance m)`.
@@ -283,7 +242,7 @@ pub struct ChannelSimulator {
     pl_profile: PathLossProfile,
     /// Per-site `tx_per_re_dbm(site.tx_power_dbm)` — pure function of
     /// config + layout, hoisted out of the movement recompute (one
-    /// `log10` per site per slot while driving). Rebuilt on layout swap.
+    /// `log10` per site per slot while driving).
     tx_per_re: Vec<f64>,
     /// Lookahead batch state and scratch (see [`Lookahead`]).
     la: Lookahead,
@@ -334,34 +293,6 @@ impl ChannelSimulator {
         }
     }
 
-    /// Swap the deployment layout mid-session (re-cloning scenarios,
-    /// coverage sweeps). Rebuilds the per-site shadowing processes from
-    /// `seeds`, drops the cached large-scale terms, and — crucially —
-    /// resets the serving-cell state: the old `serving_idx` indexed the
-    /// *previous* site list, and when the new layout has at least as many
-    /// sites the `cur < rx.len()` hysteresis guard alone would let the
-    /// stale index silently survive, pinning the UE to an arbitrary site.
-    pub fn set_layout(&mut self, layout: DeploymentLayout, seeds: &SeedTree) {
-        // The fading process survives the swap, so any prefetched batch
-        // must be rolled back before its state is rebuilt around it.
-        self.rewind_lookahead();
-        self.shadow = layout
-            .sites
-            .iter()
-            .map(|s| ShadowingProcess::new(self.config.shadowing, seeds, &format!("site{}", s.id)))
-            .collect();
-        self.tx_per_re = layout
-            .sites
-            .iter()
-            .map(|s| self.config.signal.tx_per_re_dbm(s.tx_power_dbm))
-            .collect();
-        self.layout = layout;
-        self.serving_idx = None;
-        self.cache_position = None;
-        self.large_scale.clear();
-        self.la.resize_sites(self.layout.sites.len());
-    }
-
     /// Adopt another simulator's cached large-scale terms, so co-located
     /// UEs of a loaded cell pay the per-site path-loss/sector computation
     /// once instead of once per UE. Copies only when the configurations
@@ -396,105 +327,15 @@ impl ChannelSimulator {
         &self.layout
     }
 
-    /// Advance one slot using the internal mobility model.
-    ///
-    /// A moving UE takes the moving-lookahead path: the walker is
-    /// advanced a whole batch ahead (snapshotted for exact rewind) and
-    /// the per-slot path-loss `log10` plus all dB↔mW conversions are
-    /// evaluated in SIMD slices across the batch — bit-identical to
-    /// slot-by-slot stepping. Stationary UEs fall through to
-    /// [`step_at`], whose still-path lookahead covers them.
+    /// Advance one slot using the internal mobility model: move the
+    /// walker one slot, then [`step_at`] its new position — the path a
+    /// walking or driving session takes for each of its carriers.
     ///
     /// [`step_at`]: ChannelSimulator::step_at
     pub fn step(&mut self) -> ChannelState {
-        if self.la.pos < self.la.len && self.la.mobility {
-            let state = self.la.states[self.la.pos];
-            debug_assert_eq!(state.slot, self.slot, "lookahead out of step");
-            self.la.pos += 1;
-            self.slot += 1;
-            return state;
-        }
-        if self.mobility.speed_mps() > 0.0 && !self.config.blockage.is_active() {
-            return self.step_moving_batch();
-        }
         let moved = self.mobility.advance(self.config.slot_s);
         let position = self.mobility.position();
         self.step_at(position, moved)
-    }
-
-    /// Build a moving-lookahead batch from the internal mobility model
-    /// and return its first slot (see [`Lookahead`]).
-    fn step_moving_batch(&mut self) -> ChannelState {
-        // A pending still batch (from interleaved `step_at` calls) must
-        // be rolled back before mobility-driven stepping.
-        self.rewind_lookahead();
-        let slot_s = self.config.slot_s;
-        let mut len = LA_SLOTS;
-        for sh in self.shadow.iter_mut() {
-            len = len.min(sh.lookahead_capacity());
-        }
-        len = len.min(self.fading.lookahead_capacity());
-
-        // Snapshot the walker, then collect the batch trajectory.
-        match &mut self.la.snapshot {
-            Some(s) => s.clone_from(&self.mobility),
-            None => self.la.snapshot = Some(self.mobility.clone()),
-        }
-        let mut all_moving = true;
-        for b in 0..len {
-            let m = self.mobility.advance(slot_s);
-            self.la.moved[b] = m;
-            self.la.positions[b] = self.mobility.position();
-            all_moving &= m > 0.0;
-        }
-        if !all_moving && self.config.shadowing.env_speed_mps * slot_s <= 0.0 {
-            // A zero-movement slot without environment churn consumes no
-            // shadowing draw, which the one-draw-per-slot rewind
-            // accounting cannot express. Restore the walker and take the
-            // scalar path for this slot (rare: a paused walker under a
-            // churn-free config).
-            if let Some(snap) = self.la.snapshot.as_mut() {
-                std::mem::swap(&mut self.mobility, snap);
-            }
-            let moved = self.mobility.advance(slot_s);
-            let position = self.mobility.position();
-            return self.step_at(position, moved);
-        }
-
-        // Large-scale terms for every (slot, site): the clamped distances
-        // feed one `log10` batch, each lane finished through the hoisted
-        // profile — the exact floats the scalar recompute produces.
-        let n_sites = self.layout.sites.len();
-        let la = &mut self.la;
-        for b in 0..len {
-            let pos = la.positions[b];
-            let row = b * n_sites;
-            for (p, site) in self.layout.sites.iter().enumerate() {
-                let (d2, d3) = site.distances(&pos);
-                la.dist[row + p] = d2;
-                la.pow_args[row + p] = d3.max(10.0);
-            }
-        }
-        vmath::log10_slice(&la.pow_args[..len * n_sites], &mut la.mw[..len * n_sites]);
-        for b in 0..len {
-            let pos = la.positions[b];
-            let row = b * n_sites;
-            for (p, site) in self.layout.sites.iter().enumerate() {
-                let pl = self.pl_profile.loss_db_with_log(la.pow_args[row + p], la.mw[row + p]);
-                let sector = site.sector_attenuation_db(&pos);
-                la.bases[row + p] = self.tx_per_re[p] - pl - sector;
-            }
-        }
-        // Leave the large-scale cache at the batch's final position; the
-        // entries are pure functions of (position, config, layout), so a
-        // later `step_at` at that position reuses them bit-exactly.
-        self.large_scale.clear();
-        let last = (len - 1) * n_sites;
-        for (p, site) in self.layout.sites.iter().enumerate() {
-            self.large_scale.push((site.id, la.bases[last + p], la.dist[last + p]));
-        }
-        self.cache_position = Some(la.positions[len - 1]);
-        self.finish_batch(len, true, true)
     }
 
     /// Advance one slot with an externally-supplied position (used when
@@ -510,10 +351,10 @@ impl ChannelSimulator {
     /// processes advance every slot in unchanged order, and the float
     /// expression tree `((tx − pl) − sector) + sh` is preserved exactly.
     pub fn step_at(&mut self, position: Position, moved_m: f64) -> ChannelState {
-        // Still-path lookahead: pop a precomputed slot if one is pending,
-        // or roll the batch back when the caller diverged from the batched
-        // position (the rewind restores every process bit-exactly, so the
-        // scalar path below resumes as if the batch never ran).
+        // Lookahead: pop a precomputed slot if one is pending, or roll the
+        // batch back when the caller diverged from the batched position
+        // (the rewind restores every process bit-exactly, so the scalar
+        // path below resumes as if the batch never ran).
         if self.la.pos < self.la.len {
             if moved_m == 0.0 && position == self.la.position {
                 let state = self.la.states[self.la.pos];
@@ -623,8 +464,9 @@ impl ChannelSimulator {
         }
     }
 
-    /// Precompute up to [`LA_SLOTS`] stationary slots at `position` and
-    /// return the first, leaving the rest for [`step_at`] to pop.
+    /// Precompute up to [`LA_SLOTS`] stationary slots at `position` from
+    /// the warm large-scale cache and return the first, leaving the rest
+    /// for [`step_at`] to pop.
     ///
     /// Bit-identity argument, piece by piece:
     /// * each shadowing/fading process advances through the same AR(1)
@@ -656,42 +498,12 @@ impl ChannelSimulator {
         }
         len = len.min(self.fading.lookahead_capacity());
 
-        // Every slot sits at the cached position with the cached
-        // large-scale terms.
-        let la = &mut self.la;
-        for b in 0..len {
-            la.positions[b] = position;
-            let row = b * n_sites;
-            for (p, &(_, base, d2)) in self.large_scale.iter().enumerate() {
-                la.bases[row + p] = base;
-                la.dist[row + p] = d2;
-            }
-        }
-        self.finish_batch(len, shadow_consumed, false)
-    }
-
-    /// Shared back half of both batch builders: advance the stochastic
-    /// processes over the trajectory already recorded in `la`
-    /// (positions/bases/dist), replay serving selection per slot, convert
-    /// the whole batch through SIMD `pow10`/`log10` slices, and stage the
-    /// resulting states.
-    fn finish_batch(&mut self, len: usize, shadow_consumed: bool, mobility: bool) -> ChannelState {
-        let slot_s = self.config.slot_s;
-        let n_sites = self.layout.sites.len();
         // Record pre-batch states, then advance every process `len` slots.
         let la = &mut self.la;
         for (p, sh) in self.shadow.iter_mut().enumerate() {
             let base = p * LA_STRIDE;
             la.shadow[base] = sh.value_db();
-            if mobility {
-                sh.advance_lookahead_path(
-                    &la.moved[..len],
-                    slot_s,
-                    &mut la.shadow[base + 1..base + 1 + len],
-                );
-            } else {
-                sh.advance_lookahead(0.0, slot_s, &mut la.shadow[base + 1..base + 1 + len]);
-            }
+            sh.advance_lookahead(slot_s, &mut la.shadow[base + 1..base + 1 + len]);
         }
         la.fading[0] = self.fading.value_db();
         self.fading.advance_lookahead(&mut la.fading[1..=len]);
@@ -702,8 +514,8 @@ impl ChannelSimulator {
         // hysteresis chain matches the scalar path.
         for b in 0..len {
             let row = b * n_sites;
-            for p in 0..n_sites {
-                la.pow_args[row + p] = la.bases[row + p] + la.shadow[p * LA_STRIDE + 1 + b];
+            for (p, &(_, base, _)) in self.large_scale.iter().enumerate() {
+                la.pow_args[row + p] = base + la.shadow[p * LA_STRIDE + 1 + b];
             }
         }
         let mut serving = self.serving_idx;
@@ -760,22 +572,21 @@ impl ChannelSimulator {
         let first_slot = self.slot;
         for b in 0..len {
             let serving_idx = la.serving[b + 1];
-            let row = b * n_sites;
-            let serving_re_dbm =
-                la.bases[row + serving_idx] + la.shadow[serving_idx * LA_STRIDE + 1 + b];
+            let (serving_site, base, serving_distance_m) = self.large_scale[serving_idx];
+            let serving_re_dbm = base + la.shadow[serving_idx * LA_STRIDE + 1 + b];
             let mean_sinr_db = 10.0 * la.logs[b * 3 + 2] + self.config.sinr_offset_db;
             la.states[b] = ChannelState {
                 slot: first_slot + b as u64,
-                position: la.positions[b],
-                serving_site: self.layout.sites[serving_idx].id,
-                serving_distance_m: la.dist[row + serving_idx],
+                position,
+                serving_site,
+                serving_distance_m,
                 measurement: RadioMeasurement {
                     rsrp_dbm: serving_re_dbm,
                     rssi_dbm: 10.0 * la.logs[b * 3],
                     rsrq_db: 10.0 * la.logs[b * 3 + 1],
                     sinr_db: mean_sinr_db,
                 },
-                // Blockage is inactive (both builders gate on it): the
+                // Blockage is inactive (`step_at` gates on it): the
                 // scalar path adds `fading − 0.0`, bitwise `+ fading`.
                 sinr_db: mean_sinr_db + la.fading[1 + b],
                 blocked: false,
@@ -783,12 +594,8 @@ impl ChannelSimulator {
         }
         la.len = len;
         la.pos = 1;
-        // A moving batch's positions differ per slot; park a NaN here so
-        // the `step_at` pop test (NaN ≠ NaN) can never match it.
-        la.position =
-            if mobility { Position::new(f64::NAN, f64::NAN) } else { la.positions[0] };
+        la.position = position;
         la.shadow_consumed = shadow_consumed;
-        la.mobility = mobility;
         self.slot += 1;
         la.states[0]
     }
@@ -802,37 +609,18 @@ impl ChannelSimulator {
         let unread = self.la.len - self.la.pos;
         if unread > 0 {
             let k = self.la.pos;
-            if self.la.shadow_consumed {
-                for (p, sh) in self.shadow.iter_mut().enumerate() {
-                    sh.rewind_lookahead(unread, self.la.shadow[p * LA_STRIDE + k]);
-                }
-            } else {
-                for (p, sh) in self.shadow.iter_mut().enumerate() {
-                    sh.rewind_lookahead(0, self.la.shadow[p * LA_STRIDE + k]);
-                }
+            let shadow_unread = if self.la.shadow_consumed { unread } else { 0 };
+            for (p, sh) in self.shadow.iter_mut().enumerate() {
+                sh.rewind_lookahead(shadow_unread, self.la.shadow[p * LA_STRIDE + k]);
             }
             self.fading.rewind_lookahead(unread, self.la.fading[k]);
             self.serving_idx = match self.la.serving[k] {
                 usize::MAX => None,
                 i => Some(i),
             };
-            if self.la.mobility {
-                // Restore the walker to the batch start, then replay the
-                // consumed slots: advancing is deterministic given the
-                // snapshotted state (any waypoint draws replay from the
-                // snapshotted RNG), so this lands exactly where slot-by-
-                // slot stepping would have.
-                if let Some(snap) = self.la.snapshot.as_mut() {
-                    std::mem::swap(&mut self.mobility, snap);
-                    for _ in 0..k {
-                        self.mobility.advance(self.config.slot_s);
-                    }
-                }
-            }
         }
         self.la.pos = 0;
         self.la.len = 0;
-        self.la.mobility = false;
     }
 
     /// The pre-optimisation reference implementation of [`step_at`]:
@@ -911,9 +699,6 @@ impl ChannelSimulator {
     ///
     /// [`step`]: ChannelSimulator::step
     pub fn step_uncached(&mut self) -> ChannelState {
-        // Rewind before touching the walker: a pending moving batch has
-        // already advanced it, and the rewind rolls it back.
-        self.rewind_lookahead();
         let moved = self.mobility.advance(self.config.slot_s);
         let position = self.mobility.position();
         self.step_at_uncached(position, moved)
@@ -1160,9 +945,10 @@ mod tests {
     }
 
     #[test]
-    fn moving_lookahead_matches_uncached_on_route() {
-        // Driving a waypoint route (corner turns land mid-batch) through
-        // the moving lookahead must equal the uncached reference.
+    fn driving_step_matches_uncached_on_route() {
+        // Driving a waypoint route through `step()` (walker advanced one
+        // slot, then the per-slot cached `step_at`, corner turns included)
+        // must equal the uncached reference.
         let mk = || {
             sim(
                 DeploymentLayout::three_site_dense(),
@@ -1178,11 +964,12 @@ mod tests {
     }
 
     #[test]
-    fn moving_lookahead_rewinds_for_interleaved_calls() {
+    fn step_rewinds_still_batches_for_interleaved_calls() {
         // Interleaving mobility-driven step() with caller-positioned
-        // step_at()/step_at_uncached() must match a reference that mixes
-        // the same sequence through the scalar lanes: each switch away
-        // from step() rolls back the walker and every process.
+        // stationary step_at() must match a reference that mixes the same
+        // sequence through the uncached lanes: the second stationary slot
+        // builds a still batch, and the next step() (or, every third
+        // round, step_uncached()) abandons it mid-batch and rewinds it.
         let mk = || {
             sim(
                 DeploymentLayout::three_site_dense(),
@@ -1194,11 +981,9 @@ mod tests {
         let mut reference = mk();
         let spot = Position::new(30.0, 12.0);
         for round in 0..30 {
-            // A few mobility-driven slots (builds a moving batch) …
             for _ in 0..(3 + round % 7) {
                 assert_eq!(mixed.step(), reference.step_uncached(), "round {round}");
             }
-            // … abandoned mid-batch by external-position stepping …
             for _ in 0..2 {
                 assert_eq!(
                     mixed.step_at(spot, 0.0),
@@ -1206,15 +991,16 @@ mod tests {
                     "round {round}"
                 );
             }
-            // … and by the uncached entry point directly.
-            assert_eq!(mixed.step_uncached(), reference.step_uncached(), "round {round}");
+            if round % 3 == 0 {
+                assert_eq!(mixed.step_uncached(), reference.step_uncached(), "round {round}");
+            }
         }
     }
 
     #[test]
     fn lookahead_rewind_on_movement_is_bit_exact() {
-        // Stationary stretches build 8-slot lookahead batches; popping 5
-        // then moving abandons each batch mid-flight. The rewind must
+        // Stationary stretches build lookahead batches; popping 5 then
+        // moving abandons each batch mid-flight. The rewind must
         // restore every process exactly, so the whole interleaved run
         // matches a reference that only ever steps the scalar path.
         let mk = || {
@@ -1290,65 +1076,5 @@ mod tests {
         for _ in 0..20 {
             assert_eq!(primed.step_at(pos, 0.0), replica.step_at_uncached(pos, 0.0));
         }
-    }
-
-    #[test]
-    fn layout_swap_mid_batch_rewinds_fading() {
-        // The fading process survives a layout swap; a swap mid-batch must
-        // first return the batch's unused innovations to the fading tile.
-        let pos = Position::new(40.0, 0.0);
-        let mk = || {
-            ChannelSimulator::new(
-                ChannelConfig::midband_urban(245),
-                DeploymentLayout::two_site_sparse(),
-                MobilityModel::Stationary { position: pos },
-                &SeedTree::new(51),
-            )
-        };
-        let mut swapped = mk();
-        let mut reference = mk();
-        for _ in 0..3 {
-            assert_eq!(swapped.step_at(pos, 0.0), reference.step_at_uncached(pos, 0.0));
-        }
-        let seeds2 = SeedTree::new(52);
-        swapped.set_layout(DeploymentLayout::three_site_dense(), &seeds2);
-        reference.set_layout(DeploymentLayout::three_site_dense(), &seeds2);
-        for _ in 0..20 {
-            assert_eq!(swapped.step_at(pos, 0.0), reference.step_at_uncached(pos, 0.0));
-        }
-    }
-
-    #[test]
-    fn layout_swap_resets_serving_state() {
-        // Start served by the only nearby site of layout A, then swap in a
-        // same-size layout whose site 1 is far away and site 2 is adjacent.
-        // Without the reset, the stale serving_idx (0) passes the
-        // `cur < rx.len()` guard and hysteresis pins the UE to the distant
-        // site 1; after `set_layout` the first step must re-select freshly.
-        let pos = Position::new(40.0, 0.0);
-        let seeds = SeedTree::new(11);
-        let layout_a = DeploymentLayout::new(vec![
-            GnbSite::macro_site(1, Position::new(50.0, 0.0)),
-            GnbSite::macro_site(2, Position::new(-2000.0, 0.0)),
-        ]);
-        let mut s = ChannelSimulator::new(
-            ChannelConfig::midband_urban(245),
-            layout_a,
-            MobilityModel::Stationary { position: pos },
-            &seeds,
-        );
-        for _ in 0..50 {
-            assert_eq!(s.step_at(pos, 0.0).serving_site, 1);
-        }
-        let layout_b = DeploymentLayout::new(vec![
-            GnbSite::macro_site(1, Position::new(-2000.0, 0.0)),
-            GnbSite::macro_site(2, Position::new(50.0, 0.0)),
-        ]);
-        s.set_layout(layout_b, &seeds);
-        assert_eq!(
-            s.step_at(pos, 0.0).serving_site,
-            2,
-            "stale serving index must not survive a layout swap"
-        );
     }
 }

@@ -185,18 +185,6 @@ impl PathLossProfile {
     pub fn loss_db(&self, d3d_m: f64) -> f64 {
         let d = d3d_m.max(10.0);
         let ld = vmath::log10(d);
-        self.loss_db_with_log(d, ld)
-    }
-
-    /// [`loss_db`] with the clamped distance and its `log10` supplied by
-    /// the caller — batch paths evaluate the logarithms of many distances
-    /// in one SIMD slice (lane-identical to the scalar `log10`) and
-    /// finish each lane here. `d` must be `d3d_m.max(10.0)` and `ld` its
-    /// base-10 logarithm.
-    ///
-    /// [`loss_db`]: PathLossProfile::loss_db
-    #[inline]
-    pub(crate) fn loss_db_with_log(&self, d: f64, ld: f64) -> f64 {
         match self.scenario {
             Scenario::FreeSpace => 32.45 + self.fc20 + 20.0 * ld,
             Scenario::UmaLos => self.uma_los(d, ld),

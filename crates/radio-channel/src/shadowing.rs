@@ -199,15 +199,17 @@ impl ShadowingProcess {
         self.tile.ensure_prefetched(&mut self.rng)
     }
 
-    /// Advance `out.len()` slots of [`advance_with_time`] at once,
-    /// recording the state after each slot. Caller must bound `out.len()`
-    /// by [`lookahead_capacity`]. Bit-identical to `out.len()` sequential
-    /// calls: same memo update, same draw order, same float expressions.
+    /// Advance `out.len()` stationary slots of [`advance_with_time`] at
+    /// once (`delta_m = 0`: only environment churn decorrelates),
+    /// recording the state after each slot. Caller must bound
+    /// `out.len()` by [`lookahead_capacity`]. Bit-identical to
+    /// `out.len()` sequential calls: same memo update, same draw order,
+    /// same float expressions.
     ///
     /// [`advance_with_time`]: ShadowingProcess::advance_with_time
     /// [`lookahead_capacity`]: ShadowingProcess::lookahead_capacity
-    pub(crate) fn advance_lookahead(&mut self, delta_m: f64, dt_s: f64, out: &mut [f64]) {
-        let effective = delta_m.max(self.config.env_speed_mps * dt_s);
+    pub(crate) fn advance_lookahead(&mut self, dt_s: f64, out: &mut [f64]) {
+        let effective = self.config.env_speed_mps * dt_s;
         if effective > 0.0 {
             if effective != self.memo_delta_m {
                 let rho = vmath::exp(-effective / self.config.decorrelation_m);
@@ -222,31 +224,6 @@ impl ShadowingProcess {
             }
         } else {
             out.fill(self.current_db);
-        }
-    }
-
-    /// The per-slot-delta variant of [`advance_lookahead`] for moving
-    /// lookahead runs: slot `b` advances by `moved[b]` metres. Caller
-    /// must ensure every slot consumes a draw (each `moved[b]` positive,
-    /// or environment churn enabled) so a rewind can account draws as
-    /// one-per-slot, and must bound the length by [`lookahead_capacity`].
-    ///
-    /// [`advance_lookahead`]: ShadowingProcess::advance_lookahead
-    /// [`lookahead_capacity`]: ShadowingProcess::lookahead_capacity
-    pub(crate) fn advance_lookahead_path(&mut self, moved: &[f64], dt_s: f64, out: &mut [f64]) {
-        let env_m = self.config.env_speed_mps * dt_s;
-        for (o, &delta_m) in out.iter_mut().zip(moved.iter()) {
-            let effective = delta_m.max(env_m);
-            debug_assert!(effective > 0.0, "moving lookahead slot consumes no draw");
-            if effective != self.memo_delta_m {
-                let rho = vmath::exp(-effective / self.config.decorrelation_m);
-                self.memo_delta_m = effective;
-                self.memo_rho = rho;
-                self.memo_decay = (1.0 - rho * rho).sqrt();
-            }
-            let innovation = self.tile.take() * self.config.sigma_db;
-            self.current_db = self.memo_rho * self.current_db + self.memo_decay * innovation;
-            *o = self.current_db;
         }
     }
 
