@@ -47,9 +47,8 @@ fn main() {
         session_log: 64,
     };
     let socket = config.socket_path.clone();
-    let expected_sessions = config.operators.len() as u64
-        * config.sessions_per_operator
-        * config.waves.expect("bounded smoke");
+    let waves = config.waves.expect("bounded smoke");
+    let expected_sessions = config.operators.len() as u64 * config.sessions_per_operator * waves;
     let start = Instant::now();
     let handle = match daemon::start(config) {
         Ok(h) => h,
@@ -153,13 +152,37 @@ fn main() {
         }
     }
 
-    let snapshot = match request_once(&socket, &Request::GetSnapshot) {
-        Ok(Response::Snapshot { snapshot }) => snapshot,
-        other => {
-            eprintln!("FAIL: GetSnapshot: {other:?}");
-            std::process::exit(1);
+    // The ticker publishes a snapshot every `tick_ms`, and the whole run
+    // can finish inside one tick, so the first snapshot served may still
+    // be the start-up one. Poll until the published counters have seen
+    // every wave; only then do the gauges describe the finished store.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let snapshot = loop {
+        let snapshot = match request_once(&socket, &Request::GetSnapshot) {
+            Ok(Response::Snapshot { snapshot }) => snapshot,
+            other => {
+                eprintln!("FAIL: GetSnapshot: {other:?}");
+                std::process::exit(1);
+            }
+        };
+        if snapshot.counter("daemon.waves").unwrap_or(0) >= waves || Instant::now() > deadline {
+            break snapshot;
         }
+        std::thread::sleep(Duration::from_millis(20));
     };
+    let published_waves = snapshot.counter("daemon.waves").unwrap_or(0);
+    if published_waves < waves {
+        eprintln!("FAIL: the published snapshot never reached wave {waves} ({published_waves})");
+        failed = true;
+    }
+    let published_sessions = snapshot.counter("daemon.sessions").unwrap_or(0);
+    if published_sessions != expected_sessions {
+        eprintln!(
+            "FAIL: the published snapshot counts {published_sessions} sessions, \
+             not {expected_sessions}"
+        );
+        failed = true;
+    }
     for (gauge, cap) in [
         ("daemon.retained_raw", retention.raw_capacity),
         ("daemon.retained_sec_bins", retention.sec_capacity * METRICS.len()),
