@@ -2,9 +2,11 @@
 //!
 //! Measures the channel hot path over the {stationary, driving} ×
 //! {1 site, 3 sites} matrix, in both the production (cached) and the
-//! reference (uncached) variants, plus one full-session figure, and
-//! writes the result to `BENCH_slotloop.json` at the repository root so
-//! regressions are visible in review diffs.
+//! reference (uncached) variants, and writes the result, with the commit,
+//! CPU, `vmath` arm and thread count it was measured on, to
+//! `BENCH_slotloop.json` at the repository root so regressions are
+//! visible in review diffs. Whole sessions are timed by `perfbench`'s
+//! `session` workload, not here.
 //!
 //! ```text
 //! cargo run --release -p midband5g-bench --bin perf_baseline
@@ -23,16 +25,16 @@
 //! EXPERIMENTS.md load sweep.
 //!
 //! Unless `--no-gate` is given, the run asserts the driving scenarios
-//! keep a ≥2× cached-over-uncached speedup (the SIMD batching + moving
-//! lookahead headline) and exits non-zero when one slips — wire it into
-//! CI with `--no-gate` if the runner is too noisy for a hard floor.
+//! keep a ≥2× cached-over-uncached speedup and exits non-zero when one
+//! slips — wire it into CI with `--no-gate` if the runner is too noisy
+//! for a hard floor.
 
 use std::hint::black_box;
 use std::time::Instant;
 
 use midband5g::measure::campaign::{Aggregates, Campaign, Plan};
 use midband5g::measure::executor::Executor;
-use midband5g::measure::session::{SessionResult, SessionSpec};
+use midband5g::measure::session::SessionResult;
 use midband5g::operators::Operator;
 use midband5g::radio_channel::channel::{ChannelConfig, ChannelSimulator};
 use midband5g::radio_channel::geometry::{DeploymentLayout, Position};
@@ -59,15 +61,57 @@ struct Scenario {
     speedup: f64,
 }
 
-/// Wall-clock figure for one full `SessionResult::run`.
+/// Where the figures were measured.
 #[derive(Debug, Serialize)]
-struct SessionFigure {
-    /// Operator whose configuration the session used.
-    operator: String,
-    /// Simulated session length, seconds.
-    duration_s: f64,
-    /// Wall-clock milliseconds for the whole session.
-    wall_ms: f64,
+struct Provenance {
+    /// `git rev-parse HEAD` of the measured tree, suffixed `-dirty` when
+    /// tracked files differ from it.
+    commit: String,
+    /// CPU model and logical CPU count.
+    cpu: String,
+    /// The `vmath` arm the kernels dispatched to (`MIDBAND5G_SIMD=0`
+    /// forces the scalar one).
+    vmath_arm: String,
+    /// Executor threads of the `--streaming` campaign (`MIDBAND5G_THREADS`,
+    /// default all cores); the scenario and cell-load lanes run on one.
+    threads: usize,
+}
+
+impl Provenance {
+    fn collect() -> Provenance {
+        let git = |args: &[&str]| {
+            std::process::Command::new("git")
+                .args(args)
+                .current_dir(env!("CARGO_MANIFEST_DIR"))
+                .output()
+                .ok()
+                .filter(|o| o.status.success())
+                .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        };
+        let commit = match (
+            git(&["rev-parse", "HEAD"]),
+            git(&["status", "--porcelain", "--untracked-files=no"]),
+        ) {
+            (Some(head), Some(status)) if status.is_empty() => head,
+            (Some(head), _) => format!("{head}-dirty"),
+            (None, _) => "unknown".to_string(),
+        };
+        let model = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|info| {
+                info.lines()
+                    .find_map(|l| l.strip_prefix("model name"))
+                    .map(|rest| rest.trim_start_matches([' ', '\t', ':']).to_string())
+            })
+            .unwrap_or_else(|| std::env::consts::ARCH.to_string());
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        Provenance {
+            commit,
+            cpu: format!("{model}, {cpus} logical CPUs"),
+            vmath_arm: format!("{:?}", vmath::active_arm()),
+            threads: Executor::from_env().threads(),
+        }
+    }
 }
 
 /// Memory profile of the bounded-memory streaming campaign (`--streaming`).
@@ -105,12 +149,12 @@ struct CellLoadFigure {
 struct Baseline {
     /// What produced this file.
     generated_by: String,
+    /// Commit, CPU, `vmath` arm and threads of the run.
+    provenance: Provenance,
     /// Slots measured per variant (after warm-up).
     slots_per_variant: u64,
     /// The {stationary, driving} × {1, 3 sites} matrix.
     scenarios: Vec<Scenario>,
-    /// Full-session wall-clock figures.
-    sessions: Vec<SessionFigure>,
     /// Streaming-campaign memory profile; absent without `--streaming`.
     streaming: Option<StreamingFigure>,
     /// Loaded-cell engine scaling; absent without `--cell-load`.
@@ -251,8 +295,10 @@ fn main() {
             uncached_slots_per_sec: uncached,
             speedup,
         });
-        // Driving: every slot moves, so the cache rebuilds each time —
-        // this bounds the overhead of the cached path.
+        // Driving: `step` advances the walker, then runs the per-slot
+        // cached `step_at` at the new position — the path every carrier
+        // of a walking or driving session takes. Every slot moves, so the
+        // large-scale cache rebuilds each time.
         let mut sim_c = make(layout, MobilityModel::driving_loop(Position::ORIGIN, 400.0));
         let mut sim_u = make(layout, MobilityModel::driving_loop(Position::ORIGIN, 400.0));
         let (cached, uncached, speedup) = measure_pair(
@@ -271,19 +317,6 @@ fn main() {
             cached_slots_per_sec: cached,
             uncached_slots_per_sec: uncached,
             speedup,
-        });
-    }
-
-    let duration_s = if quick { 1.0 } else { 4.0 };
-    let mut sessions = Vec::new();
-    for operator in [Operator::VodafoneSpain, Operator::TMobileUs] {
-        let spec = SessionSpec::stationary(operator, 0, duration_s, 99);
-        let start = Instant::now();
-        let _ = SessionResult::run(spec);
-        sessions.push(SessionFigure {
-            operator: format!("{operator:?}"),
-            duration_s,
-            wall_ms: start.elapsed().as_secs_f64() * 1e3,
         });
     }
 
@@ -333,9 +366,9 @@ fn main() {
             "cargo run --release -p midband5g-bench --bin perf_baseline{}{flags}",
             if flags.is_empty() { "" } else { " --" },
         ),
+        provenance: Provenance::collect(),
         slots_per_variant: slots,
         scenarios,
-        sessions,
         streaming: streaming_fig,
         cell_load: cell_load_fig,
     };
@@ -346,9 +379,6 @@ fn main() {
             "  {:<18} cached {:>12.0} slots/s   uncached {:>12.0} slots/s   speedup {:.2}x",
             s.name, s.cached_slots_per_sec, s.uncached_slots_per_sec, s.speedup
         );
-    }
-    for s in &baseline.sessions {
-        println!("  session {:<14} {:.1} s simulated in {:.0} ms", s.operator, s.duration_s, s.wall_ms);
     }
     if let Some(f) = &baseline.streaming {
         println!(
@@ -385,11 +415,14 @@ fn main() {
         }
     }
 
-    // The driving scenarios are where the cached path earns its keep: the
-    // whole large-scale cache rebuilds every slot, so any speedup there is
-    // pure batching + incremental-mobility win. Gate on the median-ratio
-    // figure (noise-robust by construction, see `measure_pair`) after the
-    // JSON is on disk so a failing run still leaves its evidence behind.
+    // The driving lanes time the per-slot cached `step_at` under motion,
+    // the path driving sessions take: the large-scale cache rebuilds
+    // every slot and no lookahead batch forms, so their speedup is what
+    // the hoisted path-loss profile, memoised process coefficients and
+    // tile-prefetched innovations buy over the reference. Gate on the
+    // median-ratio figure (noise-robust by construction, see
+    // `measure_pair`) after the JSON is on disk so a failing run still
+    // leaves its evidence behind.
     const DRIVING_SPEEDUP_FLOOR: f64 = 2.0;
     if !no_gate {
         let mut failed = false;
