@@ -327,52 +327,54 @@ impl OnlineAggregates {
 }
 
 impl SlotSink for OnlineAggregates {
-    fn push(&mut self, kpi: &SlotKpi) {
-        debug_assert!(!self.finished, "push after finish violates the SlotSink contract");
-        self.records += 1;
-        if let Some(end) = slot_end_s(kpi.slot, kpi.time_s) {
-            if end > self.max_end_s {
-                self.max_end_s = end;
-            }
-        }
-        if kpi.time_s > self.max_time_s {
-            self.max_time_s = kpi.time_s;
-        }
-        self.cqi_sum += u64::from(kpi.cqi);
-
-        // A record past the grid's cap counts in every total but joins
-        // no bin.
-        let bits = u64::from(kpi.delivered_bits);
-        let (dir_bits, dir_bin_bits) = match kpi.direction {
-            Direction::Dl => (&mut self.dl_bits, &mut self.dl_bin_bits),
-            Direction::Ul => (&mut self.ul_bits, &mut self.ul_bin_bits),
-        };
-        *dir_bits += bits;
-        if let Some(bin) = BinGrid::open_index(self.bin_s, kpi.time_s) {
-            for series in [&mut self.bin_records, dir_bin_bits] {
-                if bin >= series.len() {
-                    series.resize(bin + 1, 0);
+    fn push_block(&mut self, rows: &[SlotKpi]) {
+        for kpi in rows {
+            debug_assert!(!self.finished, "push after finish violates the SlotSink contract");
+            self.records += 1;
+            if let Some(end) = slot_end_s(kpi.slot, kpi.time_s) {
+                if end > self.max_end_s {
+                    self.max_end_s = end;
                 }
             }
-            self.bin_records[bin] += 1;
-            dir_bin_bits[bin] += bits;
-        }
+            if kpi.time_s > self.max_time_s {
+                self.max_time_s = kpi.time_s;
+            }
+            self.cqi_sum += u64::from(kpi.cqi);
 
-        if kpi.direction == Direction::Dl && kpi.scheduled {
-            self.dl_scheduled += 1;
-            if kpi.block_error {
-                self.dl_block_errors += 1;
+            // A record past the grid's cap counts in every total but joins
+            // no bin.
+            let bits = u64::from(kpi.delivered_bits);
+            let (dir_bits, dir_bin_bits) = match kpi.direction {
+                Direction::Dl => (&mut self.dl_bits, &mut self.dl_bin_bits),
+                Direction::Ul => (&mut self.ul_bits, &mut self.ul_bin_bits),
+            };
+            *dir_bits += bits;
+            if let Some(bin) = BinGrid::open_index(self.bin_s, kpi.time_s) {
+                for series in [&mut self.bin_records, dir_bin_bits] {
+                    if bin >= series.len() {
+                        series.resize(bin + 1, 0);
+                    }
+                }
+                self.bin_records[bin] += 1;
+                dir_bin_bits[bin] += bits;
             }
-            self.layer_counts[(kpi.layers as usize).min(4)] += 1;
-            if !kpi.is_retx {
-                self.modulation_grants[modulation_code(kpi.modulation) as usize] += 1;
+
+            if kpi.direction == Direction::Dl && kpi.scheduled {
+                self.dl_scheduled += 1;
+                if kpi.block_error {
+                    self.dl_block_errors += 1;
+                }
+                self.layer_counts[(kpi.layers as usize).min(4)] += 1;
+                if !kpi.is_retx {
+                    self.modulation_grants[modulation_code(kpi.modulation) as usize] += 1;
+                }
+                let re = u64::from(kpi.n_re);
+                let bucket = RE_SKETCH_BOUNDS
+                    .iter()
+                    .position(|&b| re <= b)
+                    .unwrap_or(RE_SKETCH_BOUNDS.len());
+                self.re_sketch[bucket] += 1;
             }
-            let re = u64::from(kpi.n_re);
-            let bucket = RE_SKETCH_BOUNDS
-                .iter()
-                .position(|&b| re <= b)
-                .unwrap_or(RE_SKETCH_BOUNDS.len());
-            self.re_sketch[bucket] += 1;
         }
     }
 

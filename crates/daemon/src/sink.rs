@@ -96,50 +96,52 @@ impl LiveSink {
 }
 
 impl SlotSink for LiveSink {
-    fn push(&mut self, kpi: &SlotKpi) {
-        self.records += 1;
-        if kpi.direction == ran::kpi::Direction::Dl {
-            self.dl_bits += u64::from(kpi.delivered_bits);
-        }
-        let time_s = self.epoch_s + kpi.time_s;
-        // The same time rule as `SessionBins::add`: a non-finite or
-        // negative time keeps its raw samples but joins no bin.
-        let local = (kpi.time_s.is_finite() && kpi.time_s >= 0.0)
-            .then(|| (kpi.time_s / SEC_BIN_S) as u64);
-        if let Some(local) = local {
-            if local > self.open_bin {
-                self.close_open_bin();
-                self.open_bin = local;
+    fn push_block(&mut self, rows: &[SlotKpi]) {
+        for kpi in rows {
+            self.records += 1;
+            if kpi.direction == ran::kpi::Direction::Dl {
+                self.dl_bits += u64::from(kpi.delivered_bits);
             }
-        }
-        let open_bin = self.open_bin;
-        let (bins, buf, nonfinite) = (&mut self.bins, &mut self.buf, self.nonfinite);
-        let (sums, counts) = (&mut self.open_sum, &mut self.open_count);
-        kpi_samples(kpi, |metric, value| {
-            // The same rule the resamplers apply: a NaN-corrupted
-            // measurement is dropped and accounted, never retained where
-            // it could poison a bin average hours later.
-            if !value.is_finite() {
-                nonfinite.inc();
-                return;
-            }
-            match local {
-                Some(l) if l == open_bin => {
-                    // The first value seeds the sum, as a fresh bin does.
-                    if counts[metric] == 0 {
-                        sums[metric] = value;
-                    } else {
-                        sums[metric] += value;
-                    }
-                    counts[metric] += 1;
+            let time_s = self.epoch_s + kpi.time_s;
+            // The same time rule as `SessionBins::add`: a non-finite or
+            // negative time keeps its raw samples but joins no bin.
+            let local = (kpi.time_s.is_finite() && kpi.time_s >= 0.0)
+                .then(|| (kpi.time_s / SEC_BIN_S) as u64);
+            if let Some(local) = local {
+                if local > self.open_bin {
+                    self.close_open_bin();
+                    self.open_bin = local;
                 }
-                Some(_) => bins.add(metric, kpi.time_s, value),
-                None => {}
             }
-            buf.push(RawSample { metric: metric as u8, time_s, value });
-        });
-        if self.buf.len() >= RAW_FLUSH_SAMPLES {
-            self.flush();
+            let open_bin = self.open_bin;
+            let (bins, buf, nonfinite) = (&mut self.bins, &mut self.buf, self.nonfinite);
+            let (sums, counts) = (&mut self.open_sum, &mut self.open_count);
+            kpi_samples(kpi, |metric, value| {
+                // The same rule the resamplers apply: a NaN-corrupted
+                // measurement is dropped and accounted, never retained where
+                // it could poison a bin average hours later.
+                if !value.is_finite() {
+                    nonfinite.inc();
+                    return;
+                }
+                match local {
+                    Some(l) if l == open_bin => {
+                        // The first value seeds the sum, as a fresh bin does.
+                        if counts[metric] == 0 {
+                            sums[metric] = value;
+                        } else {
+                            sums[metric] += value;
+                        }
+                        counts[metric] += 1;
+                    }
+                    Some(_) => bins.add(metric, kpi.time_s, value),
+                    None => {}
+                }
+                buf.push(RawSample { metric: metric as u8, time_s, value });
+            });
+            if self.buf.len() >= RAW_FLUSH_SAMPLES {
+                self.flush();
+            }
         }
     }
 

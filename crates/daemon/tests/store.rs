@@ -10,7 +10,7 @@ use daemon::store::{
 use daemon::LiveSink;
 use measure::session::{SessionResult, SessionSpec};
 use operators::Operator;
-use ran::kpi::{Direction, SlotKpi};
+use ran::kpi::{Direction, SlotKpi, BLOCK_RECORDS};
 use ran::sink::SlotSink;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -250,10 +250,12 @@ fn reference_bins(records: &[SlotKpi], epoch_s: f64) -> SessionBins {
 }
 
 /// `LiveSink` folds records per second; its bins must equal the
-/// per-sample reference fold bit for bit. Inputs: real session streams
-/// (single carrier, and T-Mobile's mixed-numerology CA with its LTE
-/// leg), and synthetic records that step back across second boundaries
-/// and carry NaN values, NaN times and negative times.
+/// per-sample reference fold bit for bit, and fed one record at a time
+/// or in random blocks it leaves the same bins and the same raw ring.
+/// Inputs: real session streams (single carrier, and T-Mobile's
+/// mixed-numerology CA with its LTE leg), and synthetic records that
+/// step back across second boundaries and carry NaN values, NaN times
+/// and negative times.
 #[test]
 fn live_sink_bins_equal_the_per_sample_fold_bitwise() {
     let mut streams: Vec<(String, Vec<SlotKpi>, f64)> = [
@@ -294,24 +296,52 @@ fn live_sink_bins_equal_the_per_sample_fold_bitwise() {
     synthetic.push(negative_zero);
     streams.push(("synthetic".to_string(), synthetic, 120.0));
 
-    for (name, records, epoch_s) in &streams {
-        let store = Arc::new(Mutex::new(RetentionStore::new(RetentionConfig::default())));
-        let mut sink = LiveSink::new(Arc::clone(&store), *epoch_s);
-        for r in records {
-            sink.push(r);
-        }
-        sink.finish();
-        let (got, pushed, _) = sink.into_parts();
-        assert_eq!(pushed, records.len() as u64, "{name}");
+    let bits = |v: &Vec<(u64, f64, u64)>| -> Vec<(u64, u64, u64)> {
+        v.iter().map(|&(b, sum, n)| (b, sum.to_bits(), n)).collect()
+    };
+    for (seed, (name, records, epoch_s)) in streams.iter().enumerate() {
         let want = reference_bins(records, *epoch_s);
-        assert_eq!(got.offset_bin, want.offset_bin, "{name}");
-        assert_eq!(got.bins.len(), METRICS.len(), "{name}");
-        for (metric, (g, w)) in got.bins.iter().zip(&want.bins).enumerate() {
-            let bits = |v: &Vec<(u64, f64, u64)>| -> Vec<(u64, u64, u64)> {
-                v.iter().map(|&(b, sum, n)| (b, sum.to_bits(), n)).collect()
-            };
-            assert_eq!(bits(g), bits(w), "{name}: metric {}", METRICS[metric].name);
+        let mut rings = Vec::new();
+        for blocks in [None, Some(seed as u64)] {
+            let store = Arc::new(Mutex::new(RetentionStore::new(RetentionConfig::default())));
+            let mut sink = LiveSink::new(Arc::clone(&store), *epoch_s);
+            match blocks {
+                None => records.iter().for_each(|r| sink.push(r)),
+                Some(state) => feed_blocks(&mut sink, records, state),
+            }
+            sink.finish();
+            let (got, pushed, _) = sink.into_parts();
+            assert_eq!(pushed, records.len() as u64, "{name}");
+            assert_eq!(got.offset_bin, want.offset_bin, "{name}");
+            assert_eq!(got.bins.len(), METRICS.len(), "{name}");
+            for (metric, (g, w)) in got.bins.iter().zip(&want.bins).enumerate() {
+                let metric = METRICS[metric].name;
+                assert_eq!(bits(g), bits(w), "{name}, blocks {blocks:?}: metric {metric}");
+            }
+            let store = store.lock().expect("no sink panicked holding the store");
+            let ring: Vec<(u64, u64)> = (0..METRICS.len())
+                .flat_map(|metric| {
+                    let raw = store.series(metric, Tier::Raw, 0);
+                    raw.times.into_iter().zip(raw.values).map(|(t, v)| (t.to_bits(), v.to_bits()))
+                })
+                .collect();
+            rings.push(ring);
         }
+        assert_eq!(rings[0], rings[1], "{name}: raw ring");
+    }
+}
+
+/// Feed `records` into `sink` in blocks of random size 1..=
+/// [`BLOCK_RECORDS`], drawn from `state` as `tests/chaos.rs::feed` draws
+/// them.
+fn feed_blocks(sink: &mut impl SlotSink, records: &[SlotKpi], mut state: u64) {
+    let mut rest = records;
+    while !rest.is_empty() {
+        state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+        let len = (1 + (state >> 33) as usize % BLOCK_RECORDS).min(rest.len());
+        let (block, tail) = rest.split_at(len);
+        sink.push_block(block);
+        rest = tail;
     }
 }
 

@@ -466,13 +466,12 @@ pub(crate) fn resume_prior(
         {
             continue;
         }
-        let Ok(record) = ds.load_session(&entry.name) else { continue };
-        let len = record.trace.len() as u64;
-        if record.spec != *spec || entry.records != len || entry.stats.forwarded != len {
+        let Ok(result) = ds.load_session(&entry.name) else { continue };
+        let len = result.trace.len() as u64;
+        if result.spec != *spec || entry.records != len || entry.stats.forwarded != len {
             continue;
         }
-        cached[index] =
-            Some((SessionResult { spec: record.spec, trace: record.trace }, entry.stats));
+        cached[index] = Some((result, entry.stats));
         entries.push(entry);
     }
     (cached, entries)

@@ -47,15 +47,6 @@ pub struct DatasetManifest {
     pub version: u32,
 }
 
-/// One exported session: the spec that produced it plus its trace.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SessionRecord {
-    /// The session specification (operator, mobility, seed, …).
-    pub spec: SessionSpec,
-    /// The slot-level KPI trace.
-    pub trace: KpiTrace,
-}
-
 /// A dataset rooted at a directory.
 #[derive(Debug, Clone)]
 pub struct Dataset {
@@ -328,7 +319,7 @@ pub fn encode_session(spec: &SessionSpec, trace: &KpiTrace) -> Vec<u8> {
 
 /// Decode a session file of any supported version: v3 binary, or v1/v2
 /// JSON (sniffed by the first byte).
-pub fn decode_session(bytes: &[u8]) -> Result<SessionRecord, DecodeError> {
+pub fn decode_session(bytes: &[u8]) -> Result<SessionResult, DecodeError> {
     match bytes.iter().find(|b| !b.is_ascii_whitespace()) {
         Some(&b) if b == SESSION_MAGIC[0] => decode_v3(bytes),
         Some(b'{') => {
@@ -351,7 +342,7 @@ fn le_u64(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
 }
 
-fn decode_v3(bytes: &[u8]) -> Result<SessionRecord, DecodeError> {
+fn decode_v3(bytes: &[u8]) -> Result<SessionResult, DecodeError> {
     let found = bytes.len() as u64;
     let magic = bytes.len().min(SESSION_MAGIC.len());
     if bytes[..magic] != SESSION_MAGIC[..magic] {
@@ -401,7 +392,7 @@ fn decode_v3(bytes: &[u8]) -> Result<SessionRecord, DecodeError> {
         }
         ColumnError::LengthMismatch { .. } => mismatch,
     })?;
-    Ok(SessionRecord { spec, trace })
+    Ok(SessionResult { spec, trace })
 }
 
 impl Dataset {
@@ -578,19 +569,19 @@ impl Dataset {
     /// Load one session by its manifest name, whatever its format version.
     /// A malformed file is an [`io::ErrorKind::InvalidData`] error whose
     /// inner error is the typed [`DecodeError`].
-    pub fn load_session(&self, name: &str) -> io::Result<SessionRecord> {
+    pub fn load_session(&self, name: &str) -> io::Result<SessionResult> {
         self.load_into(name, &mut Vec::new())
     }
 
     /// [`Dataset::load_session`], reading the file into `buf`.
-    fn load_into(&self, name: &str, buf: &mut Vec<u8>) -> io::Result<SessionRecord> {
+    fn load_into(&self, name: &str, buf: &mut Vec<u8>) -> io::Result<SessionResult> {
         self.read_session_bytes(name, buf)?;
         decode_session(buf).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
 
     /// Load every session in manifest order, reading each file into one
     /// reused buffer.
-    pub fn load_all(&self) -> io::Result<Vec<SessionRecord>> {
+    pub fn load_all(&self) -> io::Result<Vec<SessionResult>> {
         let _span = obs::span("dataset.load");
         let mut buf = Vec::new();
         self.manifest()?.sessions.iter().map(|name| self.load_into(name, &mut buf)).collect()
@@ -604,7 +595,7 @@ impl Dataset {
     /// from a newer format version each cost only what they name — every
     /// healthy session still loads. An unreadable or unparsable manifest
     /// is terminal (there is nothing to walk) and yields a single error.
-    pub fn load_all_lossy(&self) -> (Vec<SessionRecord>, Vec<LoadError>) {
+    pub fn load_all_lossy(&self) -> (Vec<SessionResult>, Vec<LoadError>) {
         let _span = obs::span("dataset.load_lossy");
         let mut errors = Vec::new();
         let manifest = match std::fs::read_to_string(self.manifest_path()) {

@@ -66,7 +66,7 @@ use crate::campaign::{
 use crate::dataset::{commit_file, Dataset};
 use crate::executor::Executor;
 use crate::fault::{CheckpointFaultConfig, CheckpointFaultPlan, FaultConfig};
-use crate::session::{SessionResult, SessionSpec};
+use crate::session::SessionSpec;
 use obs::audit::{self, Invariant};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -942,10 +942,7 @@ pub fn run_distributed(
     // `map` keeps spec order.
     let ds = Dataset::at(dir);
     let results = Executor::new(config.workers as usize)
-        .map(&entries, |entry| {
-            ds.load_session(&entry.name)
-                .map(|record| SessionResult { spec: record.spec, trace: record.trace })
-        })
+        .map(&entries, |entry| ds.load_session(&entry.name))
         .into_iter()
         .collect::<io::Result<Vec<_>>>()?;
     let coverage = entries

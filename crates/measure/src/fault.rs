@@ -391,21 +391,12 @@ impl<S: SlotSink> FaultInjector<'_, S> {
 }
 
 impl<S: SlotSink> SlotSink for FaultInjector<'_, S> {
-    fn push(&mut self, kpi: &SlotKpi) {
-        match self.judge(kpi) {
-            Verdict::Keep => self.inner.push(kpi),
-            Verdict::Corrupt(corrupted) => self.inner.push(&corrupted),
-            Verdict::Drop => {}
-            Verdict::Panic => self.panic_at(kpi),
-        }
-    }
-
-    /// Judges every row as [`SlotSink::push`] would, in order, and
-    /// forwards the survivors in order: each run of kept rows goes on as
-    /// one block, straight from `rows`, so a block no fault touches
-    /// passes through whole and uncopied. The survivors before a planned
-    /// panic reach the inner sink before it fires, as they would one by
-    /// one.
+    /// Judges every row in order and forwards the survivors in order:
+    /// each run of kept rows goes on as one block, straight from `rows`,
+    /// so a block no fault touches passes through whole and uncopied, and
+    /// a corrupted copy goes on as a one-row block. The survivors before
+    /// a planned panic reach the inner sink before it fires, however the
+    /// stream is cut into blocks.
     fn push_block(&mut self, rows: &[SlotKpi]) {
         let mut run = 0;
         for (i, kpi) in rows.iter().enumerate() {

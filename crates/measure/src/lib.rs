@@ -38,7 +38,7 @@ pub use campaign::{
 };
 pub use dataset::{
     commit_file, decode_session, encode_session, sync_dir, trace_to_csv, Dataset, DatasetManifest,
-    DecodeError, LoadError, SessionRecord,
+    DecodeError, LoadError,
 };
 pub use dist::{
     run_distributed, run_worker, DistConfig, DistJob, DistManifest, DistOutcome, DistStats,

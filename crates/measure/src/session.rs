@@ -5,7 +5,7 @@ use radio_channel::geometry::Position;
 use radio_channel::mobility::MobilityModel;
 use radio_channel::rng::SeedTree;
 use ran::carrier::TrafficPattern;
-use ran::kpi::{Direction, KpiTrace, SlotKpi};
+use ran::kpi::{Direction, KpiTrace};
 use ran::sink::SlotSink;
 use ran::workload::{WorkloadSpec, WorkloadStats};
 use serde::{Deserialize, Serialize};
@@ -101,29 +101,6 @@ pub struct SessionResult {
     pub trace: KpiTrace,
 }
 
-/// Counts records on their way into the wrapped sink, so session-level
-/// accounting works for any sink without a trace to measure afterwards.
-struct CountingSink<'a, S: SlotSink> {
-    inner: &'a mut S,
-    pushed: u64,
-}
-
-impl<S: SlotSink> SlotSink for CountingSink<'_, S> {
-    fn push(&mut self, kpi: &SlotKpi) {
-        self.pushed += 1;
-        self.inner.push(kpi);
-    }
-
-    fn push_block(&mut self, rows: &[SlotKpi]) {
-        self.pushed += rows.len() as u64;
-        self.inner.push_block(rows);
-    }
-
-    fn finish(&mut self) {
-        self.inner.finish();
-    }
-}
-
 /// Outcome of a workload-driven session that streamed into a sink: the
 /// record count plus the application-level counters the KPI trace alone
 /// cannot carry (workload totals and drained per-unit delay samples).
@@ -199,9 +176,7 @@ impl SessionResult {
                 carrier.set_dl_workload(w, q);
             }
         }
-        let mut counting = CountingSink { inner: sink, pushed: 0 };
-        sim.run_into(spec.duration_s, &mut counting);
-        let records = counting.pushed;
+        let records = sim.run_into(spec.duration_s, sink);
         let mut stats = WorkloadStats::default();
         let mut delay_samples_ms = Vec::new();
         for carrier in sim.carriers_mut() {

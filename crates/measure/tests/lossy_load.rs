@@ -102,9 +102,8 @@ fn out_of_tree_session_names_are_refused() {
     let healthy = fixture("v3_dataset");
     let manifest = healthy.manifest().unwrap();
     let ds = Dataset::at(&root);
-    let record = &healthy.load_all().unwrap()[0];
-    let result = measure::SessionResult { spec: record.spec, trace: record.trace.clone() };
-    ds.export("escape", std::slice::from_ref(&result)).unwrap();
+    let result = &healthy.load_all().unwrap()[0];
+    ds.export("escape", std::slice::from_ref(result)).unwrap();
     let plain = ds.manifest().unwrap().sessions[0].clone();
     let outside = root.join("outside.kpi");
     std::fs::copy(root.join("sessions").join(&plain), &outside).unwrap();

@@ -78,7 +78,7 @@ fn measured<T>(f: impl FnOnce() -> T) -> (T, usize) {
 
 /// Decode `bytes`, returning the result and the peak extra heap bytes
 /// held by this thread while decoding.
-fn decode_measured(bytes: &[u8]) -> (Result<measure::SessionRecord, DecodeError>, usize) {
+fn decode_measured(bytes: &[u8]) -> (Result<measure::SessionResult, DecodeError>, usize) {
     measured(|| decode_session(bytes))
 }
 

@@ -1,10 +1,12 @@
-//! HARQ process machinery (TS 38.214 §5.1, TS 38.321 §5.4.2).
+//! HARQ redundancy versions (TS 38.214 §5.1, TS 38.321 §5.4.2).
 //!
 //! NR retransmits failed transport blocks with incremental redundancy. Each
 //! retransmission raises the PHY user-plane latency by at least one HARQ
 //! round trip — the paper's Figure 11 splits latency into BLER = 0 (no
 //! retransmission) and BLER > 0 (≥ 1 retransmission) for exactly this
-//! reason.
+//! reason. This module holds the redundancy-version sequence a
+//! [`crate::Dci`] signals; the HARQ processes the slot loop runs live in
+//! the `ran` crate's `harq` module.
 
 use serde::{Deserialize, Serialize};
 
@@ -46,81 +48,6 @@ impl RedundancyVersion {
     }
 }
 
-/// State of one HARQ process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum HarqState {
-    /// No transport block in flight.
-    Idle,
-    /// A transport block awaits ACK/NACK.
-    Pending {
-        /// Slot index of the most recent (re)transmission.
-        tx_slot: u64,
-        /// Number of attempts so far (1 = initial transmission done).
-        attempts: u8,
-        /// Transport block size in bits.
-        tbs_bits: u32,
-    },
-}
-
-/// One HARQ process: tracks attempts and produces the RV sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HarqProcess {
-    /// Process identifier (0..=15; NR allows 16 DL processes).
-    pub id: u8,
-    /// Current state.
-    pub state: HarqState,
-}
-
-/// Default maximum transmission attempts before the block is dropped to RLC
-/// (initial + 3 retransmissions).
-pub const DEFAULT_MAX_ATTEMPTS: u8 = 4;
-
-impl HarqProcess {
-    /// A fresh, idle process.
-    pub const fn new(id: u8) -> Self {
-        HarqProcess { id, state: HarqState::Idle }
-    }
-
-    /// Whether the process can accept a new transport block.
-    pub const fn is_idle(&self) -> bool {
-        matches!(self.state, HarqState::Idle)
-    }
-
-    /// Record an initial transmission.
-    pub fn start(&mut self, tx_slot: u64, tbs_bits: u32) {
-        debug_assert!(self.is_idle(), "starting a busy HARQ process");
-        self.state = HarqState::Pending { tx_slot, attempts: 1, tbs_bits };
-    }
-
-    /// Record a retransmission; returns the RV used.
-    pub fn retransmit(&mut self, tx_slot: u64) -> RedundancyVersion {
-        match &mut self.state {
-            HarqState::Pending { tx_slot: t, attempts, .. } => {
-                *t = tx_slot;
-                *attempts += 1;
-                RedundancyVersion::for_attempt(*attempts - 1)
-            }
-            HarqState::Idle => {
-                debug_assert!(false, "retransmitting an idle HARQ process");
-                RedundancyVersion::Rv0
-            }
-        }
-    }
-
-    /// Number of attempts so far (0 when idle).
-    pub fn attempts(&self) -> u8 {
-        match self.state {
-            HarqState::Idle => 0,
-            HarqState::Pending { attempts, .. } => attempts,
-        }
-    }
-
-    /// Complete the process (ACK received, or max attempts exhausted).
-    pub fn complete(&mut self) {
-        self.state = HarqState::Idle;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,20 +59,5 @@ mod tests {
         assert_eq!(RedundancyVersion::for_attempt(2).field_value(), 3);
         assert_eq!(RedundancyVersion::for_attempt(3).field_value(), 1);
         assert_eq!(RedundancyVersion::for_attempt(4).field_value(), 0);
-    }
-
-    #[test]
-    fn process_lifecycle() {
-        let mut p = HarqProcess::new(0);
-        assert!(p.is_idle());
-        p.start(100, 8192);
-        assert!(!p.is_idle());
-        assert_eq!(p.attempts(), 1);
-        let rv = p.retransmit(108);
-        assert_eq!(rv, RedundancyVersion::Rv2);
-        assert_eq!(p.attempts(), 2);
-        p.complete();
-        assert!(p.is_idle());
-        assert_eq!(p.attempts(), 0);
     }
 }

@@ -23,7 +23,7 @@
 //! * [`resource`] — resource block / resource element accounting;
 //! * [`dci`] / [`csi`] — downlink control information and channel-state
 //!   feedback records (paper Appendix 10.2, Fig. 21);
-//! * [`harq`] — HARQ process state and redundancy-version sequencing;
+//! * [`harq`] — HARQ redundancy-version sequencing;
 //! * [`throughput`] — the TS 38.306 §4.1.2 maximum-data-rate formula the
 //!   paper evaluates in §3.2;
 //! * [`sib`] — the MIB/SIB-derived channel-information extraction procedure
@@ -55,7 +55,7 @@ pub use cqi::{Cqi, CqiTable, CqiToMcsPolicy};
 pub use csi::CsiReport;
 pub use dci::{Dci, DciFormat};
 pub use error::PhyError;
-pub use harq::{HarqProcess, RedundancyVersion};
+pub use harq::RedundancyVersion;
 pub use mcs::{McsIndex, McsTable, Modulation};
 pub use numerology::Numerology;
 pub use resource::{RbAllocation, SLOT_SYMBOLS};

@@ -138,14 +138,17 @@ impl UeSim {
     /// Records are staged in a [`BLOCK_RECORDS`]-row block on the stack
     /// and reach `sink` through [`SlotSink::push_block`], in emission
     /// order; the last, partial block is flushed before `finish`.
-    pub fn run_into<S: SlotSink>(&mut self, duration_s: f64, sink: &mut S) {
+    /// Returns the number of records flushed into `sink`.
+    pub fn run_into<S: SlotSink>(&mut self, duration_s: f64, sink: &mut S) -> u64 {
         let ticks = (duration_s / self.base_slot_s).round() as u64;
         let mut block = BlockStage::new(sink);
         for _ in 0..ticks {
             self.step_into(&mut block);
         }
         block.flush();
+        let flushed = block.flushed;
         sink.finish();
+        flushed
     }
 
     /// Advance one base tick, pushing records into `sink` (without calling
@@ -222,22 +225,26 @@ impl UeSim {
 }
 
 /// The producer's staging block: records collect on the stack and go to
-/// the wrapped sink [`BLOCK_RECORDS`] at a time.
+/// the wrapped sink [`BLOCK_RECORDS`] at a time. [`UeSim::step_into`]
+/// hands it one row at a time through [`SlotSink::push`].
 struct BlockStage<'a, S: SlotSink> {
     rows: [SlotKpi; BLOCK_RECORDS],
     len: usize,
+    /// Records flushed into `sink` so far.
+    flushed: u64,
     sink: &'a mut S,
 }
 
 impl<'a, S: SlotSink> BlockStage<'a, S> {
     fn new(sink: &'a mut S) -> Self {
         let blank = SlotKpi::idle(0, 0.0, 0, Direction::Dl, 0, 0.0, 0.0, 0.0, 0);
-        BlockStage { rows: [blank; BLOCK_RECORDS], len: 0, sink }
+        BlockStage { rows: [blank; BLOCK_RECORDS], len: 0, flushed: 0, sink }
     }
 
     fn flush(&mut self) {
         if self.len > 0 {
             self.sink.push_block(&self.rows[..self.len]);
+            self.flushed += self.len as u64;
             self.len = 0;
         }
     }
@@ -245,11 +252,13 @@ impl<'a, S: SlotSink> BlockStage<'a, S> {
 
 impl<S: SlotSink> SlotSink for BlockStage<'_, S> {
     #[inline]
-    fn push(&mut self, kpi: &SlotKpi) {
-        self.rows[self.len] = *kpi;
-        self.len += 1;
-        if self.len == BLOCK_RECORDS {
-            self.flush();
+    fn push_block(&mut self, rows: &[SlotKpi]) {
+        for kpi in rows {
+            self.rows[self.len] = *kpi;
+            self.len += 1;
+            if self.len == BLOCK_RECORDS {
+                self.flush();
+            }
         }
     }
 }
@@ -388,13 +397,12 @@ mod tests {
         assert!(trace.mean_throughput_mbps(Direction::Ul) > 0.0);
     }
 
-    /// Collects records one by one: blocks reach it through the default
-    /// per-record loop of [`SlotSink::push_block`].
+    /// Collects records in arrival order.
     struct Collect(Vec<SlotKpi>);
 
     impl SlotSink for Collect {
-        fn push(&mut self, kpi: &SlotKpi) {
-            self.0.push(*kpi);
+        fn push_block(&mut self, rows: &[SlotKpi]) {
+            self.0.extend_from_slice(rows);
         }
     }
 
@@ -417,10 +425,11 @@ mod tests {
         // 0.7 s of mixed-numerology CA ends on a partial block.
         let trace = sim().run(0.7);
         let mut streamed = KpiTrace::new();
-        sim().run_into(0.7, &mut streamed);
+        let flushed = sim().run_into(0.7, &mut streamed);
         let mut collected = Collect(Vec::new());
         sim().run_into(0.7, &mut collected);
         assert_ne!(trace.len() % BLOCK_RECORDS, 0);
+        assert_eq!(flushed, trace.len() as u64);
         assert_eq!(streamed, trace);
         assert_eq!(streamed.duration_s().to_bits(), trace.duration_s().to_bits());
         assert!(trace.iter().eq(collected.0.iter().copied()));

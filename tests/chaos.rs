@@ -232,8 +232,8 @@ fn resumed_campaign_reports_an_abandoned_session_like_the_uninterrupted_one() {
 struct Collect(Vec<SlotKpi>);
 
 impl SlotSink for Collect {
-    fn push(&mut self, kpi: &SlotKpi) {
-        self.0.push(*kpi);
+    fn push_block(&mut self, rows: &[SlotKpi]) {
+        self.0.extend_from_slice(rows);
     }
 }
 

@@ -6,14 +6,28 @@
 use midband5g::analysis::OnlineAggregates;
 use midband5g::measure::session::{SessionResult, SessionSpec};
 use midband5g::operators::Operator;
-use midband5g::ran::kpi::{Direction, KpiTrace};
-use midband5g::ran::sink::Tee;
+use midband5g::ran::kpi::{Direction, KpiTrace, SlotKpi, BLOCK_RECORDS};
+use midband5g::ran::sink::{SlotSink, Tee};
 use proptest::prelude::*;
 
 const BIN_S: f64 = 0.1;
 
 fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
+}
+
+/// Feed `records` into `sink` in blocks of random size 1..=
+/// [`BLOCK_RECORDS`], drawn from `state` as `tests/chaos.rs::feed` draws
+/// them.
+fn feed_blocks(sink: &mut impl SlotSink, records: &[SlotKpi], mut state: u64) {
+    let mut rest = records;
+    while !rest.is_empty() {
+        state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+        let len = (1 + (state >> 33) as usize % BLOCK_RECORDS).min(rest.len());
+        let (block, tail) = rest.split_at(len);
+        sink.push_block(block);
+        rest = tail;
+    }
 }
 
 proptest! {
@@ -74,6 +88,18 @@ proptest! {
         for (s, p) in online.layer_shares().iter().zip(trace.layer_shares()) {
             prop_assert!(close(*s, p));
         }
+
+        // Fed one record at a time or in random blocks, the fold is the
+        // one the producer's blocks built.
+        let records: Vec<SlotKpi> = trace.iter().collect();
+        let mut one_by_one = OnlineAggregates::new(BIN_S);
+        records.iter().for_each(|r| one_by_one.push(r));
+        one_by_one.finish();
+        let mut blocked = OnlineAggregates::new(BIN_S);
+        feed_blocks(&mut blocked, &records, seed);
+        blocked.finish();
+        prop_assert_eq!(&one_by_one, &online);
+        prop_assert_eq!(&blocked, &online);
     }
 }
 
