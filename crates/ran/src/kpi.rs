@@ -419,6 +419,7 @@ impl KpiTrace {
     /// Append records in order, column by column in blocks of
     /// [`BLOCK_RECORDS`]. The trace equals the one a [`KpiTrace::push`]
     /// per record builds, chunk layout included.
+    #[inline]
     pub fn push_block(&mut self, rows: &[SlotKpi]) {
         for block in rows.chunks(BLOCK_RECORDS) {
             self.append(block);
