@@ -5,7 +5,6 @@ use operators::Operator;
 use radio_channel::rng::SeedTree;
 use ran::carrier::TrafficPattern;
 use ran::kpi::Direction;
-use ran::sim::UeSimConfig;
 use serde::{Deserialize, Serialize};
 
 /// One CA configuration's throughput.
@@ -47,7 +46,7 @@ pub fn figure23(sessions: u64, duration_s: f64, seed: u64) -> Vec<CaOutcome> {
                 };
                 let mut sim = trimmed.build_ue_sim(
                     spec.mobility_model(),
-                    UeSimConfig { traffic: TrafficPattern::DL, routing: trimmed.routing },
+                    TrafficPattern::DL,
                     &SeedTree::new(spec.seed).child(trimmed.city),
                 );
                 let trace = sim.run(duration_s);

@@ -26,13 +26,6 @@ use measure::session::SessionResult;
 use operators::Operator;
 use ran::kpi::{Direction, KpiTrace};
 
-/// Default number of sessions a figure averages over (enough to cover the
-/// spot rotation and several shadowing draws).
-pub const DEFAULT_SESSIONS: u64 = 12;
-
-/// Default per-session duration, seconds.
-pub const DEFAULT_DURATION_S: f64 = 10.0;
-
 /// Run a standard stationary campaign for an operator and return the
 /// session results.
 ///

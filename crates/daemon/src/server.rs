@@ -218,8 +218,9 @@ fn run_waves(state: &State, config: &DaemonConfig) {
         let store = Arc::clone(&state.store);
         let outputs = executor.map(&specs, |&spec| {
             let mut sink = LiveSink::new(Arc::clone(&store), epoch_s);
-            SessionResult::run_with_sink(spec, &mut sink);
-            sink.into_parts()
+            let records = SessionResult::run_with_sink(spec, &mut sink);
+            let (bins, dl_bits) = sink.into_parts();
+            (bins, records, dl_bits)
         });
 
         // Commit in spec order — the tiered store sees every wave as the

@@ -37,7 +37,6 @@ pub struct LiveSink {
     bins: SessionBins,
     epoch_s: f64,
     buf: Vec<RawSample>,
-    records: u64,
     dl_bits: u64,
     nonfinite: obs::Counter,
     /// Session-local index of the open second.
@@ -56,7 +55,6 @@ impl LiveSink {
             bins: SessionBins::at_epoch(epoch_s),
             epoch_s,
             buf: Vec::with_capacity(RAW_FLUSH_SAMPLES),
-            records: 0,
             dl_bits: 0,
             nonfinite: obs::registry().counter("daemon.nonfinite_samples"),
             open_bin: 0,
@@ -84,21 +82,21 @@ impl LiveSink {
         self.buf.clear();
     }
 
-    /// Tear down into the locally-accumulated second bins plus session
-    /// accounting `(records pushed, DL bits delivered)`. Call after the
-    /// stream [`finish`](SlotSink::finish)ed; the wave runner commits
-    /// the bins in spec order.
-    pub fn into_parts(mut self) -> (SessionBins, u64, u64) {
+    /// Tear down into the locally-accumulated second bins plus the DL
+    /// bits delivered. Call after the stream
+    /// [`finish`](SlotSink::finish)ed; the wave runner commits the bins
+    /// in spec order. The record count is what the session runner
+    /// returns.
+    pub fn into_parts(mut self) -> (SessionBins, u64) {
         self.flush();
         self.close_open_bin();
-        (self.bins, self.records, self.dl_bits)
+        (self.bins, self.dl_bits)
     }
 }
 
 impl SlotSink for LiveSink {
     fn push_block(&mut self, rows: &[SlotKpi]) {
         for kpi in rows {
-            self.records += 1;
             if kpi.direction == ran::kpi::Direction::Dl {
                 self.dl_bits += u64::from(kpi.delivered_bits);
             }

@@ -6,6 +6,7 @@
 use daemon::proto::{self, Request, Response, Tier};
 use daemon::store::RetentionConfig;
 use daemon::{request_once, DaemonConfig};
+use measure::session::{SessionResult, SessionSpec};
 use operators::Operator;
 use std::io::Write;
 use std::os::unix::net::UnixStream;
@@ -92,6 +93,11 @@ fn daemon_survives_hostile_clients_and_serves_all_tiers() {
             assert_eq!(sessions[0].operator, "V_Sp");
             assert!(sessions.iter().all(|s| s.records > 0));
             assert!(sessions.iter().all(|s| s.dl_mbps > 0.0));
+            // The served count is the session runner's own: wave 0 runs
+            // the campaign spec at the base seed.
+            let spec = SessionSpec::stationary(Operator::VodafoneSpain, 0, 1.0, 77);
+            assert_eq!(sessions[0].seed, spec.seed);
+            assert_eq!(sessions[0].records, SessionResult::run(spec).trace.len() as u64);
         }
         other => panic!("expected Sessions, got {other:?}"),
     }

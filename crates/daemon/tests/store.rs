@@ -310,8 +310,7 @@ fn live_sink_bins_equal_the_per_sample_fold_bitwise() {
                 Some(state) => feed_blocks(&mut sink, records, state),
             }
             sink.finish();
-            let (got, pushed, _) = sink.into_parts();
-            assert_eq!(pushed, records.len() as u64, "{name}");
+            let (got, _) = sink.into_parts();
             assert_eq!(got.offset_bin, want.offset_bin, "{name}");
             assert_eq!(got.bins.len(), METRICS.len(), "{name}");
             for (metric, (g, w)) in got.bins.iter().zip(&want.bins).enumerate() {

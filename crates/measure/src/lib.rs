@@ -5,7 +5,8 @@
 //! Orchestrates the simulated equivalent of the paper's 5600+ minutes of
 //! experiments: sessions ([`session`]) bind an operator profile to a
 //! mobility pattern, a city spot, a traffic workload and a seed;
-//! [`iperf`] provides the saturating DL/UL transfer tests; [`latency`]
+//! [`iperf`] splits a saturating transfer's NSA trace into its NR and
+//! LTE legs; [`latency`]
 //! the §4.3 user-plane latency probes; [`campaign`] batches sessions the
 //! way the study did (multiple spots, repeated time slots) and produces
 //! the Table 1 bookkeeping; [`loadsweep`] sweeps one loaded cell from 1
@@ -46,7 +47,7 @@ pub use dist::{
 };
 pub use executor::{Executor, ExecutorError, ItemFailure, ResilientOutcome, THREADS_ENV};
 pub use fault::{CheckpointFaultConfig, CheckpointFaultPlan, FaultConfig, FaultPlan, FaultStats};
-pub use iperf::{nr_only, run_iperf};
+pub use iperf::nr_only;
 pub use latency::{measure_latency, LatencyError, LatencyResult};
 pub use loadsweep::{CellLoadPoint, CellLoadSweep, SPOT_DISTANCES_M};
 pub use session::{MobilityKind, SessionResult, SessionSpec, WorkloadOutcome, WorkloadResult};

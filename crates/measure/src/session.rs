@@ -164,10 +164,7 @@ impl SessionResult {
         let profile = spec.operator.profile();
         let mut sim = profile.build_ue_sim(
             spec.mobility_model(),
-            ran::sim::UeSimConfig {
-                traffic: TrafficPattern { dl: spec.dl, ul: spec.ul },
-                routing: profile.routing,
-            },
+            TrafficPattern { dl: spec.dl, ul: spec.ul },
             &spec.seeds(),
         );
         if !workload.is_full_buffer() {
@@ -271,6 +268,27 @@ mod tests {
             let r = SessionResult::run(spec);
             assert!(!r.trace.is_empty());
         }
+    }
+
+    #[test]
+    fn dl_only_test_has_no_ul_bits() {
+        let spec = SessionSpec {
+            operator: Operator::VodafoneGermany,
+            mobility: MobilityKind::Stationary { spot: 0 },
+            dl: true,
+            ul: false,
+            duration_s: 1.0,
+            seed: 3,
+        };
+        let r = SessionResult::run(spec);
+        assert!(r.trace.mean_throughput_mbps(Direction::Dl) > 0.0);
+        let ul_bits: u64 = r
+            .trace
+            .iter()
+            .filter(|x| x.direction == Direction::Ul)
+            .map(|x| u64::from(x.delivered_bits))
+            .sum();
+        assert_eq!(ul_bits, 0);
     }
 
     #[test]

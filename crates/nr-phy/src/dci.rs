@@ -25,11 +25,6 @@ pub enum DciFormat {
 }
 
 impl DciFormat {
-    /// Whether this format schedules the downlink.
-    pub const fn is_downlink(self) -> bool {
-        matches!(self, DciFormat::Dl1_0 | DciFormat::Dl1_1)
-    }
-
     /// The MCS table this format can signal when the cell is configured for
     /// 256QAM: fallback formats are pinned to the 64QAM table (the
     /// mechanism the paper cites from \[41\]).

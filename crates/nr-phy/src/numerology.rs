@@ -80,11 +80,6 @@ impl Numerology {
         1.0 / self.slots_per_subframe() as f64
     }
 
-    /// Slot duration in microseconds.
-    pub fn slot_duration_us(self) -> f64 {
-        1000.0 / self.slots_per_subframe() as f64
-    }
-
     /// Average OFDM symbol duration T_s^µ in **seconds**, as used in the
     /// TS 38.306 maximum-data-rate formula: `10^-3 / (14 · 2^µ)`.
     pub fn avg_symbol_duration_s(self) -> f64 {

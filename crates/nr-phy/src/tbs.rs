@@ -147,16 +147,6 @@ impl TbsCache {
     }
 }
 
-/// Convenience: TBS expressed in bytes (floor).
-pub fn transport_block_bytes(
-    alloc: &RbAllocation,
-    table: McsTable,
-    mcs: McsIndex,
-    layers: u8,
-) -> u32 {
-    transport_block_size(alloc, table, mcs, layers) / 8
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

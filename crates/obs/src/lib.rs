@@ -200,16 +200,10 @@ fn json_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Copy out every registered metric plus the audit counters.
+/// Copy out every registered metric plus the audit counters
+/// ([`Registry::snapshot`] of the process-wide registry).
 pub fn snapshot() -> Snapshot {
-    let m = registry().snapshot();
-    Snapshot {
-        counters: m.counters,
-        gauges: m.gauges,
-        histograms: m.histograms,
-        spans: m.spans,
-        audit: audit::snapshot(),
-    }
+    registry().snapshot()
 }
 
 /// Zero every metric and audit counter (registrations and the audit

@@ -15,6 +15,7 @@
 //! to in one step, so a panicking registrant (kind mismatch) cannot
 //! leave it inconsistent, and the process-wide registry must survive it.
 
+use crate::Snapshot;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -240,7 +241,7 @@ pub struct Registry {
     entries: Mutex<Vec<Entry>>,
 }
 
-/// One histogram in a [`Snapshot`](crate::Snapshot).
+/// One histogram in a [`Snapshot`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Metric name.
@@ -253,37 +254,6 @@ pub struct HistogramSnapshot {
     pub buckets: Vec<(u64, u64)>,
     /// Observations above the last bound.
     pub overflow: u64,
-}
-
-/// A point-in-time copy of every registered metric, sorted by name.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricsSnapshot {
-    /// Counter values.
-    pub counters: Vec<(String, u64)>,
-    /// Gauge values.
-    pub gauges: Vec<(String, i64)>,
-    /// Plain histograms.
-    pub histograms: Vec<HistogramSnapshot>,
-    /// Span-duration histograms (nanoseconds).
-    pub spans: Vec<HistogramSnapshot>,
-}
-
-impl MetricsSnapshot {
-    /// Total number of distinct metrics (counters + gauges + histograms
-    /// + spans).
-    pub fn metric_count(&self) -> usize {
-        self.counters.len() + self.gauges.len() + self.histograms.len() + self.spans.len()
-    }
-
-    /// Value of a counter by name, if registered.
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
-    }
-
-    /// A span histogram by name, if registered.
-    pub fn span(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.spans.iter().find(|h| h.name == name)
-    }
 }
 
 impl Registry {
@@ -379,7 +349,7 @@ impl Registry {
         }
     }
 
-    /// Copy out every metric, sorted by name.
+    /// Copy out every metric, sorted by name, plus the audit counters.
     ///
     /// Safe to call concurrently with workers updating metrics (the
     /// daemon publishes snapshots from a tick thread while campaign
@@ -391,21 +361,17 @@ impl Registry {
     /// [`Histogram::record`] (`tests/concurrent_snapshot.rs`). Relaxed
     /// skew the other way (a `count` ahead of the buckets) is expected
     /// under concurrency.
-    pub fn snapshot(&self) -> MetricsSnapshot {
+    pub fn snapshot(&self) -> Snapshot {
         let entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        let mut snap = MetricsSnapshot {
-            counters: Vec::new(),
-            gauges: Vec::new(),
-            histograms: Vec::new(),
-            spans: Vec::new(),
-        };
+        let (mut counters, mut gauges, mut histograms, mut spans) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
         for e in entries.iter() {
             match &e.metric {
                 Metric::Counter(c) => {
-                    snap.counters.push((e.name.to_string(), c.load(Ordering::Relaxed)));
+                    counters.push((e.name.to_string(), c.load(Ordering::Relaxed)));
                 }
                 Metric::Gauge(g) => {
-                    snap.gauges.push((e.name.to_string(), g.load(Ordering::Relaxed)));
+                    gauges.push((e.name.to_string(), g.load(Ordering::Relaxed)));
                 }
                 Metric::Histogram { core, is_span } => {
                     // Buckets first, with Acquire (see the snapshot doc
@@ -427,18 +393,21 @@ impl Registry {
                         overflow,
                     };
                     if *is_span {
-                        snap.spans.push(h);
+                        spans.push(h);
                     } else {
-                        snap.histograms.push(h);
+                        histograms.push(h);
                     }
                 }
             }
         }
-        snap.counters.sort();
-        snap.gauges.sort();
-        snap.histograms.sort_by(|a, b| a.name.cmp(&b.name));
-        snap.spans.sort_by(|a, b| a.name.cmp(&b.name));
-        snap
+        drop(entries);
+        counters.sort();
+        gauges.sort();
+        histograms.sort_by(|a, b| a.name.cmp(&b.name));
+        spans.sort_by(|a, b| a.name.cmp(&b.name));
+        // Audit last: a counter bumped after a violation is counted
+        // (`audit.sessions_with_violations`) never reads ahead of it.
+        Snapshot { counters, gauges, histograms, spans, audit: crate::audit::snapshot() }
     }
 }
 

@@ -14,7 +14,6 @@ use nr_phy::tdd::{SpecialSlotConfig, TddPattern};
 use radio_channel::geometry::DeploymentLayout;
 use radio_channel::link::RankProfile;
 use ran::config::{CellConfig, UplinkRouting};
-use ran::lte::LteConfig;
 
 /// Special slot with no UL symbols (V_It's DL-heaviest configuration).
 const S_NO_UL: SpecialSlotConfig =
@@ -35,9 +34,7 @@ fn eu_base(
         country,
         city,
         carriers: vec![CarrierProfile { cell, sinr_offset_db, rician_k_db }],
-        nsa: true,
         routing: UplinkRouting::NrAboveCqi { threshold: 5 },
-        lte: Some(LteConfig::default()),
         coverage,
         ca_description: "No",
         table_bandwidth_label: None,

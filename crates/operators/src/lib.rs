@@ -247,10 +247,8 @@ mod tests {
     #[test]
     fn nsa_everywhere_tmobile_prefers_lte_ul() {
         use ran::config::UplinkRouting;
-        for op in Operator::ALL_MIDBAND {
-            let p = op.profile();
-            assert!(p.nsa, "{op}: all studied deployments are NSA");
-        }
+        // NSA is structural: every profile's UE gets the LTE anchor
+        // (`OperatorProfile::build_ue_sim_with_routing`).
         assert_eq!(Operator::TMobileUs.profile().routing, UplinkRouting::LteOnly);
     }
 }

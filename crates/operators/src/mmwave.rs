@@ -15,7 +15,6 @@ use nr_phy::tdd::{SpecialSlotConfig, TddPattern};
 use radio_channel::geometry::{DeploymentLayout, GnbSite, Position};
 use radio_channel::link::RankProfile;
 use ran::config::{CellConfig, UplinkRouting};
-use ran::lte::LteConfig;
 
 /// Verizon 28 GHz mmWave profile.
 pub fn verizon_mmwave() -> OperatorProfile {
@@ -52,9 +51,7 @@ pub fn verizon_mmwave() -> OperatorProfile {
         country: "USA",
         city: "Chicago",
         carriers: vec![CarrierProfile { cell, sinr_offset_db: 0.0, rician_k_db: 9.0 }],
-        nsa: true,
         routing: UplinkRouting::NrAboveCqi { threshold: 5 },
-        lte: Some(LteConfig::default()),
         coverage: CoverageProfile {
             layout,
             rank_profile: RankProfile {

@@ -6,9 +6,9 @@ use radio_channel::geometry::DeploymentLayout;
 use radio_channel::link::{LinkModel, RankProfile};
 use radio_channel::mobility::MobilityModel;
 use radio_channel::rng::SeedTree;
-use ran::carrier::Carrier;
+use ran::carrier::{Carrier, TrafficPattern};
 use ran::config::{CellConfig, UplinkRouting};
-use ran::lte::{LteAnchor, LteConfig};
+use ran::lte::LteAnchor;
 use ran::sim::{UeSim, UeSimConfig};
 
 /// One component carrier of an operator.
@@ -35,7 +35,9 @@ pub struct CoverageProfile {
     pub neighbor_load: f64,
 }
 
-/// A complete operator deployment profile.
+/// A complete operator deployment profile. Every studied deployment is
+/// NSA: the UE it builds always carries the LTE anchor leg
+/// ([`ran::lte::LteAnchor`]).
 #[derive(Debug, Clone)]
 pub struct OperatorProfile {
     /// Marketing name, e.g. "Vodafone Spain".
@@ -46,12 +48,8 @@ pub struct OperatorProfile {
     pub city: &'static str,
     /// Component carriers; index 0 is the PCell.
     pub carriers: Vec<CarrierProfile>,
-    /// Whether the deployment is NSA (every studied one is).
-    pub nsa: bool,
     /// NSA uplink routing behaviour (§4.2).
     pub routing: UplinkRouting,
-    /// LTE anchor parameters for NSA UL; `None` disables the LTE leg.
-    pub lte: Option<LteConfig>,
     /// Coverage characteristics.
     pub coverage: CoverageProfile,
     /// Human-readable CA description for Table 3 ("Mid + Mid-Band").
@@ -158,22 +156,23 @@ impl OperatorProfile {
     /// profile's own NSA routing.
     ///
     /// * `mobility` — the session's movement pattern;
-    /// * `sim_config` — traffic directions; the routing field is
-    ///   overwritten with the profile's routing (use
-    ///   [`Self::build_ue_sim_with_routing`] to force a different one,
-    ///   e.g. pinning T-Mobile's UL onto NR for a per-channel test);
+    /// * `traffic` — the saturated directions;
     /// * `seeds` — session-scoped seed tree.
+    ///
+    /// [`Self::build_ue_sim_with_routing`] forces a different routing,
+    /// e.g. pinning T-Mobile's UL onto NR for a per-channel test.
     pub fn build_ue_sim(
         &self,
         mobility: MobilityModel,
-        mut sim_config: UeSimConfig,
+        traffic: TrafficPattern,
         seeds: &SeedTree,
     ) -> UeSim {
-        sim_config.routing = self.routing;
+        let sim_config = UeSimConfig { traffic, routing: self.routing };
         self.build_ue_sim_with_routing(mobility, sim_config, seeds)
     }
 
     /// [`Self::build_ue_sim`] with the caller's routing taken verbatim.
+    /// The UE carries the profile's carriers plus the LTE anchor.
     pub fn build_ue_sim_with_routing(
         &self,
         mobility: MobilityModel,
@@ -195,16 +194,12 @@ impl OperatorProfile {
                 Carrier::new(cp.cell.clone(), i as u8, channel, self.link_model(cp), &cc_seeds)
             })
             .collect();
-        let lte = self.lte.map(|lte_cfg| {
-            let lte_seeds = seeds.child("lte");
-            let channel = ChannelSimulator::new(
-                LteAnchor::default_channel_config(),
-                self.coverage.layout.clone(),
-                mobility.clone(),
-                &lte_seeds,
-            );
-            LteAnchor::new(lte_cfg, channel)
-        });
-        UeSim::new(carriers, lte, mobility, sim_config, seeds)
+        let lte_channel = ChannelSimulator::new(
+            LteAnchor::default_channel_config(),
+            self.coverage.layout.clone(),
+            mobility.clone(),
+            &seeds.child("lte"),
+        );
+        UeSim::new(carriers, Some(LteAnchor::new(lte_channel)), mobility, sim_config, seeds)
     }
 }

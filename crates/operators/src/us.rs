@@ -12,7 +12,6 @@ use nr_phy::numerology::Numerology;
 use radio_channel::geometry::DeploymentLayout;
 use radio_channel::link::RankProfile;
 use ran::config::{CellConfig, UplinkRouting};
-use ran::lte::LteConfig;
 
 fn us_coverage(dense: bool) -> CoverageProfile {
     CoverageProfile {
@@ -53,9 +52,7 @@ pub fn tmobile() -> OperatorProfile {
             CarrierProfile { cell: n25_20, sinr_offset_db: 3.0, rician_k_db: 8.0 },
             CarrierProfile { cell: n25_5, sinr_offset_db: 3.0, rician_k_db: 8.0 },
         ],
-        nsa: true,
         routing: UplinkRouting::LteOnly,
-        lte: Some(LteConfig::default()),
         coverage: us_coverage(true),
         ca_description: "Mid + Mid-Band",
         table_bandwidth_label: Some("20+5, 100+40"),
@@ -83,9 +80,7 @@ pub fn verizon() -> OperatorProfile {
             CarrierProfile { cell: cband, sinr_offset_db: 9.0, rician_k_db: 10.0 },
             CarrierProfile { cell: lowband, sinr_offset_db: 9.0, rician_k_db: 10.0 },
         ],
-        nsa: true,
         routing: UplinkRouting::NrAboveCqi { threshold: 5 },
-        lte: Some(LteConfig::default()),
         coverage: us_coverage(true),
         ca_description: "Mid + Low-Band",
         table_bandwidth_label: Some("60"),
@@ -109,9 +104,7 @@ pub fn att() -> OperatorProfile {
         country: "USA",
         city: "Chicago",
         carriers: vec![CarrierProfile { cell: cband, sinr_offset_db: 3.0, rician_k_db: 6.0 }],
-        nsa: true,
         routing: UplinkRouting::NrAboveCqi { threshold: 7 },
-        lte: Some(LteConfig::default()),
         coverage: us_coverage(false),
         ca_description: "Mid + Mid-Band",
         table_bandwidth_label: Some("40"),

@@ -11,7 +11,6 @@ use radio_channel::mobility::MobilityModel;
 use radio_channel::rng::SeedTree;
 use ran::carrier::TrafficPattern;
 use ran::kpi::{Direction, KpiTrace};
-use ran::sim::UeSimConfig;
 
 /// The operator's measurement position for session `i`: the campaign
 /// rotates over the city's shared study spots this operator serves.
@@ -29,7 +28,7 @@ fn run_session(op: Operator, seed: u64, duration_s: f64) -> KpiTrace {
     let seeds = SeedTree::new(seed).child(profile.city);
     let mut sim = profile.build_ue_sim(
         MobilityModel::Stationary { position: pos },
-        UeSimConfig { traffic: TrafficPattern::BOTH, routing: profile.routing },
+        TrafficPattern::BOTH,
         &seeds,
     );
     sim.run(duration_s)

@@ -74,7 +74,7 @@ pub struct FadingProcess {
     tile: GaussianTile,
     current_db: f64,
     /// Hoisted AR(1) coefficient (`config.slot_rho()`); pure function of
-    /// the config, refreshed by [`FadingProcess::set_speed`].
+    /// the config, computed once at construction.
     rho: f64,
     /// Hoisted innovation gain `sqrt(1 − ρ²) · σ`, same association as the
     /// inline expression so the update stays bit-identical.
@@ -94,14 +94,6 @@ impl FadingProcess {
     /// Current fading value in dB (zero-mean).
     pub fn value_db(&self) -> f64 {
         self.current_db
-    }
-
-    /// Replace the speed (e.g. the UE transitions from walking to driving);
-    /// keeps the current state so the process stays continuous.
-    pub fn set_speed(&mut self, speed_mps: f64) {
-        self.config.speed_mps = speed_mps;
-        self.rho = self.config.slot_rho();
-        self.gain = (1.0 - self.rho * self.rho).sqrt() * self.config.sigma_db();
     }
 
     /// Advance by one slot and return the new value in dB.

@@ -1,9 +1,11 @@
 //! One component carrier of one UE: the per-slot adaptation loop.
 //!
 //! Every slot this module executes the paper's Fig. 21 cycle — channel
-//! evolution, (periodic) CSI feedback, scheduling with the vendor CQI→MCS
-//! policy + OLLA, TBS computation, BLER draw and HARQ bookkeeping — and
-//! emits the slot's KPI records.
+//! evolution, CSI feedback every [`DEFAULT_CSI_PERIOD_SLOTS`], scheduling
+//! with the vendor CQI→MCS policy + OLLA, TBS computation, BLER draw and
+//! HARQ bookkeeping — and emits the slot's KPI records. The UL leg is
+//! always full buffer; the DL leg takes a [`Workload`] behind a gNB queue
+//! ([`Carrier::set_dl_workload`]).
 
 use crate::amc::{AmcState, OllaConfig};
 use crate::config::CellConfig;
@@ -69,9 +71,10 @@ const CARRIER_BLER_LABELS: [&str; 8] = [
 /// One component carrier bound to one UE.
 #[derive(Debug, Clone)]
 pub struct Carrier {
-    /// Cell configuration (public: profiles and tests inspect it; callers
-    /// that mutate TDD/bandwidth fields after construction must call
-    /// [`Carrier::rebuild_allocation_table`]).
+    /// Cell configuration (public: profiles and tests inspect it). The
+    /// allocation table is built from it once, in [`Carrier::new`], so a
+    /// later change to its TDD pattern, bandwidth or UL RB fraction does
+    /// not reach the grants; a change to `mcs_policy` does.
     pub cfg: CellConfig,
     index: u8,
     channel: ChannelSimulator,
@@ -83,7 +86,6 @@ pub struct Carrier {
     ul_flow: Flow,
     bler_draws: BlerDraws,
     slot: u64,
-    csi_period: u64,
     ewma_sinr_db: f64,
     prev_rank: u8,
     /// Per-TDD-cycle RB allocations at full share (the single-UE case).
@@ -121,7 +123,6 @@ impl Carrier {
             ul_flow: Flow::full_buffer(),
             bler_draws: BlerDraws::new(rng),
             slot: 0,
-            csi_period: DEFAULT_CSI_PERIOD_SLOTS,
             ewma_sinr_db: 15.0,
             prev_rank: 2,
             alloc_table,
@@ -130,22 +131,9 @@ impl Carrier {
         }
     }
 
-    /// Recompute the precomputed allocation table (and drop the TBS memo)
-    /// after a post-construction `cfg` mutation that changes the TDD
-    /// pattern, bandwidth, or UL RB fraction.
-    pub fn rebuild_allocation_table(&mut self) {
-        self.alloc_table = AllocationTable::new(&self.cfg, 1.0, 1.0);
-        self.tbs_cache = TbsCache::new();
-    }
-
     /// Install a DL workload behind a gNB queue (default: full buffer).
     pub fn set_dl_workload(&mut self, workload: Box<dyn Workload>, queue: QueueConfig) {
         self.dl_flow = Flow::pipeline(workload, queue);
-    }
-
-    /// Install a UL workload behind a queue (default: full buffer).
-    pub fn set_ul_workload(&mut self, workload: Box<dyn Workload>, queue: QueueConfig) {
-        self.ul_flow = Flow::pipeline(workload, queue);
     }
 
     /// Inspect the DL traffic leg (offered/delivered accounting, queue
@@ -159,11 +147,6 @@ impl Carrier {
         &mut self.dl_flow
     }
 
-    /// Inspect the UL traffic leg.
-    pub fn ul_traffic(&self) -> &Flow {
-        &self.ul_flow
-    }
-
     /// Override the OLLA configuration (ablation experiments).
     pub fn set_olla(&mut self, olla: OllaConfig) {
         self.amc = AmcState::new(olla);
@@ -173,11 +156,6 @@ impl Carrier {
     pub fn set_harq(&mut self, harq: HarqConfig) {
         self.dl_harq = HarqEntity::new(harq);
         self.ul_harq = HarqEntity::new(harq);
-    }
-
-    /// Override the CSI reporting period in slots.
-    pub fn set_csi_period(&mut self, slots: u64) {
-        self.csi_period = slots.max(1);
     }
 
     /// Carrier index within the aggregate.
@@ -223,7 +201,7 @@ impl Carrier {
         // UE side: smooth the SINR the way CQI filtering does, and report
         // CSI every period.
         self.ewma_sinr_db = 0.9 * self.ewma_sinr_db + 0.1 * ch.sinr_db;
-        if slot % self.csi_period == 0 {
+        if slot % DEFAULT_CSI_PERIOD_SLOTS == 0 {
             let csi = AmcState::make_csi(&self.link, self.ewma_sinr_db, self.prev_rank);
             self.prev_rank = csi.ri;
             self.amc.update_csi(csi);

@@ -175,7 +175,6 @@ const UE_CHUNK: usize = 8;
 /// through the sink.
 pub struct CellSim {
     params: CellParams,
-    csi_period: u64,
     slot: u64,
     rr_next: usize,
     // --- per-UE columns ---
@@ -250,7 +249,6 @@ impl CellSim {
             spot_leader.push(leader);
         }
         CellSim {
-            csi_period: DEFAULT_CSI_PERIOD_SLOTS,
             slot: 0,
             rr_next: 0,
             positions,
@@ -294,29 +292,14 @@ impl CellSim {
         self.active[ue] = active;
     }
 
-    /// Override the CSI reporting period in slots.
-    pub fn set_csi_period(&mut self, slots: u64) {
-        self.csi_period = slots.max(1);
-    }
-
     /// Install a pluggable DL workload behind a gNB queue for UE `ue`.
     pub fn set_dl_workload(&mut self, ue: usize, workload: Box<dyn Workload>, queue: QueueConfig) {
         self.dl_flows[ue] = Flow::pipeline(workload, queue);
     }
 
-    /// Install a pluggable UL workload behind a queue for UE `ue`.
-    pub fn set_ul_workload(&mut self, ue: usize, workload: Box<dyn Workload>, queue: QueueConfig) {
-        self.ul_flows[ue] = Flow::pipeline(workload, queue);
-    }
-
     /// Inspect UE `ue`'s DL traffic leg (queue depth, workload counters).
     pub fn dl_flow(&self, ue: usize) -> &Flow {
         &self.dl_flows[ue]
-    }
-
-    /// Mutable access to UE `ue`'s DL leg (draining delay samples).
-    pub fn dl_flow_mut(&mut self, ue: usize) -> &mut Flow {
-        &mut self.dl_flows[ue]
     }
 
     /// Run `slots` slots, streaming every record into `sink`, and call
@@ -354,7 +337,7 @@ impl CellSim {
         // chunk's transmit legs right after its channel sweep changes no
         // value, only cache behaviour — and records still leave in UE
         // index order, DL before UL, exactly as the module contract says.
-        let csi_slot = slot % self.csi_period == 0;
+        let csi_slot = slot % DEFAULT_CSI_PERIOD_SLOTS == 0;
         let ul_capable = self.params.cell.ul_symbols(slot) > 0;
         let mut cqi_buf = [Cqi::saturating(0); UE_CHUNK];
         let mut ctx = SlotCtx {

@@ -55,8 +55,6 @@ pub mod rrc;
 pub mod scheduler;
 pub mod sim;
 pub mod sink;
-#[cfg(test)]
-mod traffic;
 pub mod workload;
 
 pub use amc::AmcState;

@@ -5,40 +5,30 @@
 //! the LTE connection rather than the 5G NR connection for UL") because
 //! low-band/mid-band LTE has larger coverage and, with FDD, no TDD uplink
 //! starvation. The model is a 1 ms-subframe rate process driven by the
-//! anchor's own (lower-frequency, better-coverage) channel.
+//! anchor's own (lower-frequency, better-coverage) channel. Every studied
+//! deployment anchors on the same 20 MHz LTE carrier, so its parameters
+//! are constants of this module.
 
 use crate::kpi::{Direction, SlotKpi};
 use nr_phy::mcs::Modulation;
 use radio_channel::channel::{ChannelConfig, ChannelSimulator};
 use radio_channel::geometry::Position;
-use serde::{Deserialize, Serialize};
 
 /// Marker value for the `carrier` field of LTE KPI records.
 pub const LTE_CARRIER_INDEX: u8 = 200;
 
-/// Static parameters of the LTE anchor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LteConfig {
-    /// Carrier bandwidth in PRBs (20 MHz → 100).
-    pub n_prb: u16,
-    /// Spectral-efficiency cap, bits/symbol (UL 64QAM, power-limited:
-    /// ≈ 5.0 is what commercial 20 MHz LTE UL peaks near 70 Mbps implies).
-    pub max_se: f64,
-    /// Fraction of REs lost to reference signals and control.
-    pub overhead: f64,
-}
-
-impl Default for LteConfig {
-    fn default() -> Self {
-        LteConfig { n_prb: 100, max_se: 5.0, overhead: 0.2 }
-    }
-}
+/// Carrier bandwidth in PRBs (20 MHz → 100).
+const N_PRB: u16 = 100;
+/// Spectral-efficiency cap, bits/symbol (UL 64QAM, power-limited: ≈ 5.0
+/// is what commercial 20 MHz LTE UL peaks near 70 Mbps implies).
+const MAX_SE: f64 = 5.0;
+/// Fraction of REs lost to reference signals and control.
+const OVERHEAD: f64 = 0.2;
 
 /// The LTE anchor leg: its own channel simulator (lower carrier frequency,
 /// hence better propagation) plus the subframe rate model.
 #[derive(Debug, Clone)]
 pub struct LteAnchor {
-    config: LteConfig,
     channel: ChannelSimulator,
     subframe: u64,
 }
@@ -46,8 +36,8 @@ pub struct LteAnchor {
 impl LteAnchor {
     /// Build the anchor from an already-configured channel simulator
     /// (operator profiles pick the anchor band's frequency and layout).
-    pub fn new(config: LteConfig, channel: ChannelSimulator) -> Self {
-        LteAnchor { config, channel, subframe: 0 }
+    pub fn new(channel: ChannelSimulator) -> Self {
+        LteAnchor { channel, subframe: 0 }
     }
 
     /// A default anchor channel config at 1.9 GHz on a layout.
@@ -71,8 +61,8 @@ impl LteAnchor {
 
         // UL power budget penalty, as in the NR UL model.
         let sinr = ch.sinr_db - 6.0;
-        let se = (0.75 * (1.0 + 10f64.powf(sinr / 10.0)).log2()).min(self.config.max_se);
-        let re = self.config.n_prb as f64 * 12.0 * 14.0 * (1.0 - self.config.overhead);
+        let se = (0.75 * (1.0 + 10f64.powf(sinr / 10.0)).log2()).min(MAX_SE);
+        let re = N_PRB as f64 * 12.0 * 14.0 * (1.0 - OVERHEAD);
         let bits = (re * se) as u32;
 
         SlotKpi {
@@ -81,7 +71,7 @@ impl LteAnchor {
             carrier: LTE_CARRIER_INDEX,
             direction: Direction::Ul,
             scheduled: true,
-            n_prb: self.config.n_prb,
+            n_prb: N_PRB,
             n_re: re as u32,
             mcs: 0,
             modulation: Modulation::Qam64,
@@ -116,7 +106,7 @@ mod tests {
             MobilityModel::Stationary { position: pos },
             &SeedTree::new(seed),
         );
-        (LteAnchor::new(LteConfig::default(), channel), pos)
+        (LteAnchor::new(channel), pos)
     }
 
     #[test]

@@ -267,7 +267,7 @@ impl<S: SlotSink> SlotSink for BlockStage<'_, S> {
 mod tests {
     use super::*;
     use crate::config::CellConfig;
-    use crate::lte::{LteConfig, LTE_CARRIER_INDEX};
+    use crate::lte::LTE_CARRIER_INDEX;
     use nr_phy::band::Band;
     use nr_phy::numerology::Numerology;
     use radio_channel::channel::{ChannelConfig, ChannelSimulator};
@@ -293,7 +293,7 @@ mod tests {
             MobilityModel::Stationary { position: pos },
             &seeds,
         );
-        LteAnchor::new(LteConfig::default(), channel)
+        LteAnchor::new(channel)
     }
 
     #[test]
