@@ -405,8 +405,8 @@ impl Registry {
         gauges.sort();
         histograms.sort_by(|a, b| a.name.cmp(&b.name));
         spans.sort_by(|a, b| a.name.cmp(&b.name));
-        // Audit last: a counter bumped after a violation is counted
-        // (`audit.sessions_with_violations`) never reads ahead of it.
+        // The audit counters are process-wide statics, not registry
+        // entries, so every registry's snapshot carries the same audit.
         Snapshot { counters, gauges, histograms, spans, audit: crate::audit::snapshot() }
     }
 }
